@@ -11,10 +11,6 @@ namespace smr::mapreduce {
 namespace {
 constexpr double kByteEps = 1.0;  // one byte of slack on fluid comparisons
 
-double per_mib_to_per_byte(double per_mib) {
-  return per_mib / static_cast<double>(kMiB);
-}
-
 // Min-heap comparator for the pending-job heap: "later" on (submit_time,
 // index), so the earliest submission (ties by id) sits at the front.
 bool pending_later(const std::pair<SimTime, std::size_t>& a,
@@ -79,6 +75,7 @@ Runtime::Runtime(RuntimeConfig config, std::unique_ptr<AllocationPolicy> policy,
   node_solve_version_.assign(node_alive_.size(), 0);
   node_bg_prev_.assign(node_alive_.size(), cluster::BackgroundLoad{});
   node_rates_cache_.resize(node_alive_.size());
+  setup_shards();
 }
 
 cluster::MaxMinSolver::Stats Runtime::solver_stats() const {
@@ -155,6 +152,7 @@ JobId Runtime::submit(const JobSpec& spec, SimTime at) {
   }
 
   jobs_.push_back(std::move(job));
+  ++storage_generation_;
   ++unfinished_jobs_;
   ++jobs_not_yet_submitted_;
   pending_jobs_.emplace_back(at, jobs_.size() - 1);
@@ -179,7 +177,6 @@ metrics::RunResult Runtime::run() {
   // An open (serving) runtime may start empty: arrivals stream in later.
   SMR_CHECK_MSG(!jobs_.empty() || open_, "no jobs submitted");
 
-  setup_shards();
   policy_->on_start(trackers());
   // Seed the slot-target counter tracks at their initial values so the
   // trace timeline starts at t = 0 rather than the first change.
@@ -448,6 +445,7 @@ std::int32_t Runtime::acquire_map_shadow_slot() {
     return slot;
   }
   map_shadow_pool_.emplace_back();
+  ++storage_generation_;
   return static_cast<std::int32_t>(map_shadow_pool_.size() - 1);
 }
 
@@ -463,6 +461,7 @@ std::int32_t Runtime::acquire_reduce_shadow_slot() {
     return slot;
   }
   reduce_shadow_pool_.emplace_back();
+  ++storage_generation_;
   return static_cast<std::int32_t>(reduce_shadow_pool_.size() - 1);
 }
 
@@ -471,544 +470,7 @@ void Runtime::release_reduce_shadow_slot(std::int32_t slot) {
   reduce_shadow_free_.push_back(slot);
 }
 
-// ---------------------------------------------------------------------------
-// The fluid tick.
-// ---------------------------------------------------------------------------
-
-void Runtime::on_tick() {
-  if (stopping_) return;
-  if (shards_.size() > 1) {
-    on_tick_sharded();
-    return;
-  }
-  const double dt = config_.tick;
-  const int n = config_.cluster.worker_count();
-  TickScratch& t = tick_;
-
-  // --- 0. Resolve every running attempt once ---------------------------
-  // One pass over the tracker lists and the dense task-ref table builds
-  // SoA views (ids / task pointers / job pointers / specs, node order).
-  // Every later stage of the tick indexes these instead of re-resolving
-  // attempt ids, which used to cost a ref lookup plus a hash probe (for
-  // shadows) per touch, several touches per task per tick.  Pointers stay
-  // valid for the whole tick: no attempt launches happen outside
-  // heartbeats, and teardown paths run after the stages that use them.
-  //
-  // Doom detection rides the same pass: an attempt whose progress crossed
-  // its injected-failure threshold last tick dies at this tick boundary,
-  // before the census (freeing its slot for the next heartbeat's
-  // assignment round).  Firing failures mutates the tracker lists, so the
-  // scratch is rebuilt afterwards — a rare second pass.
-  bool detect_doom = config_.task_fail_rate > 0.0;
-  t.doomed_maps.clear();
-  t.doomed_reduces.clear();
-  for (;;) {
-    // The id/pointer/range arrays only change when some tracker's running
-    // list does (or a serving-path submit reallocates jobs_); between such
-    // changes the full rebuild is skipped and only the phase-dependent
-    // census is re-swept over the cached dense arrays.  When additionally
-    // no phase changed since the last sweep and no fault injection is
-    // armed, even the sweep is skipped: the scratch still holds the
-    // previous tick's census, which is bit-identical by construction (the
-    // settle stage only sorts its candidate lists in place — idempotent).
-    std::uint64_t vsum = 0;
-    for (const auto& tracker : trackers_) vsum += tracker.version();
-    const bool same_membership =
-        vsum == resolve_version_sum_ && jobs_.size() == resolve_jobs_size_;
-    if (same_membership && !census_phase_dirty_ && !detect_doom) break;
-    census_phase_dirty_ = false;
-    // The occupancy census rides this pass too: every field is a pure
-    // function of the task state being touched anyway, and fusing it saves
-    // a full second sweep over the running set.
-    t.settle_primaries.clear();
-    t.settle_shadows.clear();
-    t.shuffle_entries.clear();
-    t.remote_entries.clear();
-    t.occ.assign(static_cast<std::size_t>(n), cluster::Occupancy{});
-    t.node_has_remote.assign(static_cast<std::size_t>(n), 0);
-    if (!same_membership) {
-      resolve_version_sum_ = vsum;
-      resolve_jobs_size_ = jobs_.size();
-      t.map_id.clear();
-      t.map_task.clear();
-      t.map_job.clear();
-      t.map_spec.clear();
-      t.red_id.clear();
-      t.red_task.clear();
-      t.red_job.clear();
-      t.red_spec.clear();
-      t.map_range.clear();
-      t.red_range.clear();
-      for (int d = 0; d < n; ++d) {
-        const auto& tracker = trackers_[static_cast<std::size_t>(d)];
-        auto& o = t.occ[static_cast<std::size_t>(d)];
-        const auto map_begin = static_cast<std::uint32_t>(t.map_id.size());
-        for (TaskId id : tracker.running_map_tasks()) {
-          const TaskRef& ref = task_refs_[static_cast<std::size_t>(id)];
-          Job* job = &jobs_[static_cast<std::size_t>(ref.job)];
-          MapTask* task =
-              ref.speculative
-                  ? &map_shadow_pool_[static_cast<std::size_t>(ref.shadow_slot)]
-                  : &job->maps[static_cast<std::size_t>(ref.index)];
-          const auto entry = static_cast<std::uint32_t>(t.map_id.size());
-          t.map_id.push_back(id);
-          t.map_task.push_back(task);
-          t.map_job.push_back(job);
-          t.map_spec.push_back(&job->spec);
-          const bool remote_mapping =
-              task->phase == MapPhase::kMapping && !task->local;
-          o.threads += 1;
-          o.io_streams += remote_mapping ? 0 : 1;
-          o.memory_demand += job->spec.map_task_memory;
-          if (remote_mapping) {
-            t.node_has_remote[static_cast<std::size_t>(d)] = 1;
-            t.remote_entries.push_back(entry);
-          }
-          if (detect_doom && task->progress() >= task->fail_at_progress) {
-            t.doomed_maps.push_back(id);
-          }
-        }
-        t.map_range.emplace_back(map_begin,
-                                 static_cast<std::uint32_t>(t.map_id.size()));
-        const auto red_begin = static_cast<std::uint32_t>(t.red_id.size());
-        for (TaskId id : tracker.running_reduce_tasks()) {
-          const TaskRef& ref = task_refs_[static_cast<std::size_t>(id)];
-          Job* job = &jobs_[static_cast<std::size_t>(ref.job)];
-          ReduceTask* task =
-              ref.speculative
-                  ? &reduce_shadow_pool_[static_cast<std::size_t>(ref.shadow_slot)]
-                  : &job->reduces[static_cast<std::size_t>(ref.index)];
-          const auto entry = static_cast<std::uint32_t>(t.red_id.size());
-          t.red_id.push_back(id);
-          t.red_task.push_back(task);
-          t.red_job.push_back(job);
-          t.red_spec.push_back(&job->spec);
-          const bool shuffling = task->phase == ReducePhase::kShuffling;
-          o.threads += shuffling ? 2 : 1;
-          o.io_streams += 1;
-          o.memory_demand += job->spec.reduce_task_memory;
-          // Collect the shuffle-settle candidates here so the settle stage
-          // no longer scans every reduce of every job each tick.  Conditions
-          // are re-checked at settle time; phases can only *enter*
-          // kShuffling via requeues, which never happen inside a tick.
-          if (shuffling) {
-            t.shuffle_entries.push_back(entry);
-            (ref.speculative ? t.settle_shadows : t.settle_primaries)
-                .push_back(id);
-          }
-          if (detect_doom && task->progress() >= task->fail_at_progress) {
-            t.doomed_reduces.push_back(id);
-          }
-        }
-        t.red_range.emplace_back(red_begin,
-                                 static_cast<std::uint32_t>(t.red_id.size()));
-      }
-    } else {
-      // Membership unchanged: sweep the cached arrays for the
-      // phase-dependent census only.  Field-for-field this repeats the
-      // rebuild path above over identical tasks in identical order.
-      for (int d = 0; d < n; ++d) {
-        auto& o = t.occ[static_cast<std::size_t>(d)];
-        const auto [mb, me] = t.map_range[static_cast<std::size_t>(d)];
-        for (std::uint32_t i = mb; i < me; ++i) {
-          const MapTask* task = t.map_task[i];
-          const bool remote_mapping =
-              task->phase == MapPhase::kMapping && !task->local;
-          o.threads += 1;
-          o.io_streams += remote_mapping ? 0 : 1;
-          o.memory_demand += t.map_spec[i]->map_task_memory;
-          if (remote_mapping) {
-            t.node_has_remote[static_cast<std::size_t>(d)] = 1;
-            t.remote_entries.push_back(i);
-          }
-          if (detect_doom && task->progress() >= task->fail_at_progress) {
-            t.doomed_maps.push_back(t.map_id[i]);
-          }
-        }
-        const auto [rb, re] = t.red_range[static_cast<std::size_t>(d)];
-        for (std::uint32_t i = rb; i < re; ++i) {
-          const ReduceTask* task = t.red_task[i];
-          const bool shuffling = task->phase == ReducePhase::kShuffling;
-          o.threads += shuffling ? 2 : 1;
-          o.io_streams += 1;
-          o.memory_demand += t.red_spec[i]->reduce_task_memory;
-          if (shuffling) {
-            const TaskId id = t.red_id[i];
-            t.shuffle_entries.push_back(i);
-            (task_refs_[static_cast<std::size_t>(id)].speculative
-                 ? t.settle_shadows
-                 : t.settle_primaries)
-                .push_back(id);
-          }
-          if (detect_doom && task->progress() >= task->fail_at_progress) {
-            t.doomed_reduces.push_back(t.red_id[i]);
-          }
-        }
-      }
-    }
-    if (!detect_doom || (t.doomed_maps.empty() && t.doomed_reduces.empty())) {
-      break;
-    }
-    detect_doom = false;  // one detection round per tick, as ever
-    fail_doomed_attempts();
-    if (stopping_) return;  // the last failure may have failed the last job
-  }
-
-  // --- 2. Network allocation -------------------------------------------
-  t.flows.clear();
-  t.flow_entry.clear();
-  t.flow_is_shuffle.clear();
-  t.fetch_streams.assign(static_cast<std::size_t>(n), 0);
-
-  // Walk only the network participants collected in the resolve sweep.
-  // Both lists are in node order, so advancing each cursor to the end of
-  // the node's SoA range reproduces the historic per-node scan exactly:
-  // shuffling reduces first, then remote-reading maps.
-  std::size_t sp = 0;
-  std::size_t rp = 0;
-  for (int d = 0; d < n; ++d) {
-    const NodeId dst = trackers_[static_cast<std::size_t>(d)].node();
-    const std::uint32_t re = t.red_range[static_cast<std::size_t>(d)].second;
-    for (; sp < t.shuffle_entries.size() && t.shuffle_entries[sp] < re; ++sp) {
-      const std::uint32_t i = t.shuffle_entries[sp];
-      const ReduceTask& task = *t.red_task[i];
-      if (task.backlog() <= kByteEps) continue;
-      t.fetch_streams[static_cast<std::size_t>(dst)] +=
-          std::min(config_.parallel_copies, n);
-      const JobSpec& spec = *t.red_spec[i];
-      cluster::NetFlow flow;
-      flow.dst = dst;
-      flow.src = kInvalidNode;  // diffuse pull from every node
-      flow.rate_cap = std::min(task.backlog() / dt, spec.shuffle_fetch_cap);
-      t.flows.push_back(flow);
-      t.flow_entry.push_back(i);
-      t.flow_is_shuffle.push_back(true);
-    }
-    const std::uint32_t me = t.map_range[static_cast<std::size_t>(d)].second;
-    for (; rp < t.remote_entries.size() && t.remote_entries[rp] < me; ++rp) {
-      const std::uint32_t i = t.remote_entries[rp];
-      const MapTask& task = *t.map_task[i];
-      const JobSpec& spec = *t.map_spec[i];
-      const auto& node_spec = config_.cluster.workers[static_cast<std::size_t>(dst)];
-      const double cpu_per_byte =
-          per_mib_to_per_byte(spec.map_cpu_per_mib) * task.cost_factor;
-      const double cpu_rate = node_spec.cpu_speed / cpu_per_byte;
-      cluster::NetFlow flow;
-      flow.dst = dst;
-      flow.src = task.src_node;
-      flow.rate_cap = std::min(task.phase_remaining() / dt, cpu_rate);
-      t.flows.push_back(flow);
-      t.flow_entry.push_back(i);
-      t.flow_is_shuffle.push_back(false);
-    }
-  }
-  // Copy out of the solver cache: shuffle rates are rescaled in place below.
-  {
-    const std::vector<double>& granted =
-        network_.allocate_cached(t.flows, t.fetch_streams);
-    t.net_rates.assign(granted.begin(), granted.end());
-  }
-
-  // --- 3. Cap shuffle ingest by each receiver's disk share --------------
-  t.shuffle_disk_demand.assign(static_cast<std::size_t>(n), 0.0);
-  for (std::size_t f = 0; f < t.flows.size(); ++f) {
-    if (!t.flow_is_shuffle[f]) continue;
-    const JobSpec& spec = *t.red_spec[t.flow_entry[f]];
-    t.shuffle_disk_demand[static_cast<std::size_t>(t.flows[f].dst)] +=
-        t.net_rates[f] * spec.shuffle_disk_factor;
-  }
-  t.shuffle_scale.assign(static_cast<std::size_t>(n), 1.0);
-  for (int d = 0; d < n; ++d) {
-    const auto& node_spec = config_.cluster.workers[static_cast<std::size_t>(d)];
-    const double allowed =
-        config_.shuffle_disk_share *
-        cluster::ComputeModel::effective_disk(node_spec, t.occ[static_cast<std::size_t>(d)]);
-    const double demand = t.shuffle_disk_demand[static_cast<std::size_t>(d)];
-    if (demand > allowed && demand > 0.0) {
-      t.shuffle_scale[static_cast<std::size_t>(d)] = allowed / demand;
-    }
-  }
-  for (std::size_t f = 0; f < t.flows.size(); ++f) {
-    if (t.flow_is_shuffle[f]) {
-      t.net_rates[f] *= t.shuffle_scale[static_cast<std::size_t>(t.flows[f].dst)];
-    }
-  }
-
-  // --- 4. Background load from shuffle ingest ---------------------------
-  t.background.assign(static_cast<std::size_t>(n), cluster::BackgroundLoad{});
-  for (std::size_t f = 0; f < t.flows.size(); ++f) {
-    if (!t.flow_is_shuffle[f]) continue;
-    const JobSpec& spec = *t.red_spec[t.flow_entry[f]];
-    auto& bg = t.background[static_cast<std::size_t>(t.flows[f].dst)];
-    bg.cpu_cores += t.net_rates[f] * per_mib_to_per_byte(spec.shuffle_cpu_per_mib);
-    bg.disk_rate += t.net_rates[f] * spec.shuffle_disk_factor;
-  }
-
-  // --- 5. Per-node compute solve ----------------------------------------
-  // Remote-read map grants, keyed by task id in an epoch-stamped dense
-  // table (no per-tick clearing, no hashing).
-  ++net_grant_cur_epoch_;
-  if (net_grant_rate_.size() < static_cast<std::size_t>(next_task_id_)) {
-    net_grant_rate_.resize(static_cast<std::size_t>(next_task_id_), 0.0);
-    net_grant_epoch_.resize(static_cast<std::size_t>(next_task_id_), 0);
-  }
-  for (std::size_t f = 0; f < t.flows.size(); ++f) {
-    if (t.flow_is_shuffle[f]) continue;
-    const auto id = static_cast<std::size_t>(t.map_id[t.flow_entry[f]]);
-    net_grant_rate_[id] = t.net_rates[f];
-    net_grant_epoch_[id] = net_grant_cur_epoch_;
-  }
-
-  // Node-ordered (task, rate) pairs: iteration order below is deterministic,
-  // which keeps floating-point accumulation bit-for-bit reproducible.
-  t.compute.clear();
-  for (int d = 0; d < n; ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    const auto& node_spec = config_.cluster.workers[di];
-    const auto& tracker = trackers_[di];
-    const cluster::BackgroundLoad& bg = t.background[di];
-    // Quiescent-node fast path.  A node's solve inputs (occupancy,
-    // background, per-load coefficients) are pure functions of its running
-    // set, each task's phase/local/cost_factor, the background shuffle
-    // ingest, and — for remote-read maps only — the per-tick network grant.
-    // The running set is covered by the tracker version counter (bumped on
-    // every launch/finish), pure phase transitions by the explicit dirty
-    // marks in the integration and settle stages, background by a bit
-    // compare, and grant-capped loads by excluding any node hosting a
-    // remote kMapping map.  When all four say "unchanged", the previous
-    // rates are provably bit-identical and are replayed from the cache
-    // without rebuilding loads; the skipped solver call is recorded as a
-    // memo hit so the reported solver stats stay byte-identical.
-    const bool quiet = !node_dirty_[di] &&
-                       tracker.version() == node_solve_version_[di] &&
-                       !t.node_has_remote[di] &&
-                       bg.cpu_cores == node_bg_prev_[di].cpu_cores &&
-                       bg.disk_rate == node_bg_prev_[di].disk_rate;
-    if (quiet) {
-      const std::vector<double>& cache = node_rates_cache_[di];
-      if (cache.empty()) continue;  // no loads last tick, none now
-      std::size_t k = 0;
-      const auto [mb, me] = t.map_range[di];
-      for (std::uint32_t i = mb; i < me; ++i) {
-        t.compute.push_back({i, true, cache[k++]});
-      }
-      const auto [rb, re] = t.red_range[di];
-      for (std::uint32_t i = rb; i < re; ++i) {
-        if (t.red_task[i]->phase == ReducePhase::kShuffling) continue;
-        t.compute.push_back({i, false, cache[k++]});
-      }
-      SMR_CHECK(k == cache.size());
-      node_models_[di].count_memo_hit();
-      continue;
-    }
-    node_dirty_[di] = 0;
-    node_solve_version_[di] = tracker.version();
-    node_bg_prev_[di] = bg;
-    t.loads.clear();
-    t.load_entry.clear();
-    t.load_is_map.clear();
-    const auto [mb, me] = t.map_range[static_cast<std::size_t>(d)];
-    for (std::uint32_t i = mb; i < me; ++i) {
-      const MapTask& task = *t.map_task[i];
-      const JobSpec& spec = *t.map_spec[i];
-      cluster::PhaseLoad load;
-      if (task.phase == MapPhase::kMapping) {
-        load.cpu_per_byte = per_mib_to_per_byte(spec.map_cpu_per_mib) * task.cost_factor;
-        load.disk_per_byte = task.local ? 1.0 : 0.0;
-        if (!task.local) {
-          const auto id = static_cast<std::size_t>(t.map_id[i]);
-          load.rate_cap = net_grant_epoch_[id] == net_grant_cur_epoch_
-                              ? net_grant_rate_[id]
-                              : 0.0;
-        }
-      } else if (task.phase == MapPhase::kCombining) {
-        // In-memory aggregation over the pre-combine output: CPU-bound with
-        // light buffer churn on disk.
-        load.cpu_per_byte =
-            per_mib_to_per_byte(spec.combine_cpu_per_mib) * task.cost_factor;
-        load.disk_per_byte = 0.3;
-      } else {  // kSpilling: progress in output bytes
-        load.cpu_per_byte = per_mib_to_per_byte(spec.spill_cpu_per_mib) * task.cost_factor;
-        load.disk_per_byte = spec.spill_disk_factor;
-      }
-      t.loads.push_back(load);
-      t.load_entry.push_back(i);
-      t.load_is_map.push_back(true);
-    }
-    const auto [rb, re] = t.red_range[static_cast<std::size_t>(d)];
-    for (std::uint32_t i = rb; i < re; ++i) {
-      const ReduceTask& task = *t.red_task[i];
-      const JobSpec& spec = *t.red_spec[i];
-      if (task.phase == ReducePhase::kShuffling) continue;  // network-driven
-      cluster::PhaseLoad load;
-      if (task.phase == ReducePhase::kSorting) {
-        load.cpu_per_byte = per_mib_to_per_byte(spec.sort_cpu_per_mib) * task.cost_factor;
-        load.disk_per_byte = spec.sort_disk_factor;
-      } else {  // kReducing
-        load.cpu_per_byte = per_mib_to_per_byte(spec.reduce_cpu_per_mib) * task.cost_factor;
-        load.disk_per_byte = 1.0 + spec.reduce_selectivity * spec.output_disk_factor;
-      }
-      t.loads.push_back(load);
-      t.load_entry.push_back(i);
-      t.load_is_map.push_back(false);
-    }
-    if (t.loads.empty()) {
-      node_rates_cache_[di].clear();
-      continue;
-    }
-    const std::vector<double>& rates =
-        node_models_[di].solve_cached(node_spec, t.occ[di], bg, t.loads);
-    node_rates_cache_[di].assign(rates.begin(), rates.end());
-    for (std::size_t i = 0; i < t.loads.size(); ++i) {
-      t.compute.push_back({t.load_entry[i], t.load_is_map[i] != 0, rates[i]});
-    }
-  }
-
-  // --- 6. Integrate progress and fire transitions ------------------------
-  // Shuffle progress first (jumps in `available` only happen via map
-  // completions below, so ordering within the tick is consistent).
-  for (std::size_t f = 0; f < t.flows.size(); ++f) {
-    if (!t.flow_is_shuffle[f]) continue;
-    ReduceTask& task = *t.red_task[t.flow_entry[f]];
-    Job& job = *t.red_job[t.flow_entry[f]];
-    const double delta = std::min(t.net_rates[f] * dt, task.backlog());
-    if (delta <= 0.0) continue;
-    task.fetched += delta;
-    job.bytes_shuffled += delta;
-    cum_shuffled_ += delta;
-    node_shuffled_in_[static_cast<std::size_t>(t.flows[f].dst)] += delta;
-  }
-
-  // Compute-phase progress, with completions collected and applied after
-  // the sweep (map completions mutate reduce backlogs; reduce completions
-  // mutate tracker lists we are not iterating here).
-  t.finished_maps.clear();
-  t.finished_reduces.clear();
-  for (const auto& c : t.compute) {
-    if (c.is_map) {
-      MapTask& task = *t.map_task[c.entry];
-      Job& job = *t.map_job[c.entry];
-      double advance = std::min(c.rate * dt, task.phase_remaining());
-      if (task.phase == MapPhase::kMapping) {
-        task.phase_done += advance;
-        job.map_input_processed += advance;
-        cum_map_input_ += advance;
-        node_map_input_[static_cast<std::size_t>(task.node)] += advance;
-        if (task.phase_remaining() <= kByteEps) {
-          task.phase_done = task.phase_total();
-          if (task.combine_total > 0) {
-            task.phase = MapPhase::kCombining;
-            task.phase_done = 0.0;
-            mark_node_dirty(task.node);
-            trace_event(metrics::TraceEventKind::kPhaseStarted, task.job,
-                        task.id, task.node, true, "COMBINE");
-          } else if (task.output_size > 0) {
-            task.phase = MapPhase::kSpilling;
-            task.phase_done = 0.0;
-            mark_node_dirty(task.node);
-            trace_event(metrics::TraceEventKind::kPhaseStarted, task.job,
-                        task.id, task.node, true, "SPILL");
-          } else {
-            t.finished_maps.push_back(t.map_id[c.entry]);
-          }
-        }
-      } else if (task.phase == MapPhase::kCombining) {
-        task.phase_done += advance;
-        if (task.phase_remaining() <= kByteEps) {
-          if (task.output_size > 0) {
-            task.phase = MapPhase::kSpilling;
-            task.phase_done = 0.0;
-            mark_node_dirty(task.node);
-            trace_event(metrics::TraceEventKind::kPhaseStarted, task.job,
-                        task.id, task.node, true, "SPILL");
-          } else {
-            t.finished_maps.push_back(t.map_id[c.entry]);
-          }
-        }
-      } else if (task.phase == MapPhase::kSpilling) {
-        task.phase_done += advance;
-        if (task.phase_remaining() <= kByteEps) {
-          t.finished_maps.push_back(t.map_id[c.entry]);
-        }
-      }
-    } else {
-      ReduceTask& task = *t.red_task[c.entry];
-      double advance = c.rate * dt;
-      const double total = static_cast<double>(task.partition_size);
-      if (task.phase == ReducePhase::kSorting) {
-        task.phase_done = std::min(task.phase_done + advance, total);
-        if (total - task.phase_done <= kByteEps) {
-          task.phase = ReducePhase::kReducing;
-          task.phase_done = 0.0;
-          mark_node_dirty(task.node);
-          trace_event(metrics::TraceEventKind::kPhaseStarted, task.job,
-                      task.id, task.node, false, "REDUCE");
-        }
-      } else if (task.phase == ReducePhase::kReducing) {
-        task.phase_done = std::min(task.phase_done + advance, total);
-        if (total - task.phase_done <= kByteEps) {
-          t.finished_reduces.push_back(t.red_id[c.entry]);
-        }
-      }
-    }
-  }
-  // Deterministic completion order (the compute sweep is in node order, not
-  // id order).
-  std::sort(t.finished_maps.begin(), t.finished_maps.end());
-  std::sort(t.finished_reduces.begin(), t.finished_reduces.end());
-  for (TaskId id : t.finished_maps) {
-    const TaskRef* ref_it = find_task_ref(id);
-    if (ref_it == nullptr) continue;  // shadow retired this tick
-    const TaskRef& ref = *ref_it;
-    if (ref.speculative) {
-      win_speculative(id);
-      continue;
-    }
-    MapTask& task = map_task(id);
-    if (task.phase == MapPhase::kDone) continue;  // shadow won this tick
-    complete_map(job_of(task.job), task, id);
-  }
-  for (TaskId id : t.finished_reduces) {
-    const TaskRef* ref_it = find_task_ref(id);
-    if (ref_it == nullptr) continue;  // shadow retired this tick
-    if (ref_it->speculative) {
-      win_speculative_reduce(id);
-      continue;
-    }
-    ReduceTask& task = reduce_task(id);
-    if (task.phase == ReducePhase::kDone) continue;  // shadow won this tick
-    complete_reduce(job_of(task.job), task, id);
-  }
-
-  // Settle shuffle completions and zero-size phases (must run after map
-  // completions so the barrier state is current).  Candidates were
-  // collected in the resolve pass; ascending-id order reproduces the
-  // historic jobs-then-partitions scan order, primaries before shadows.
-  std::sort(t.settle_primaries.begin(), t.settle_primaries.end());
-  for (TaskId id : t.settle_primaries) {
-    const TaskRef& ref = task_refs_[static_cast<std::size_t>(id)];
-    Job& job = jobs_[static_cast<std::size_t>(ref.job)];
-    ReduceTask& task = job.reduces[static_cast<std::size_t>(ref.index)];
-    // Re-check: a speculative win above may have completed (and thereby
-    // de-scheduled) the primary since the census.
-    if (!task.running() || task.phase != ReducePhase::kShuffling) continue;
-    settle_reduce(job, task);
-  }
-  if (!t.settle_shadows.empty()) {
-    std::sort(t.settle_shadows.begin(), t.settle_shadows.end());
-    for (TaskId id : t.settle_shadows) {
-      // The shadow may have been retired by a primary completing above.
-      const TaskRef* ref = find_task_ref(id);
-      if (ref == nullptr) continue;
-      ReduceTask& task =
-          reduce_shadow_pool_[static_cast<std::size_t>(ref->shadow_slot)];
-      if (task.phase != ReducePhase::kShuffling) continue;
-      settle_reduce(job_of(task.job), task);
-    }
-  }
-
-  check_all_done();
-}
+// The fluid tick (on_tick) and its per-shard stages live in runtime_shard.cpp.
 
 void Runtime::complete_map(Job& job, MapTask& task, TaskId attempt_id) {
   SMR_CHECK(task.phase != MapPhase::kDone);
@@ -2062,20 +1524,18 @@ void Runtime::on_sample() {
 
   // Per-shard window-occupancy / barrier-stall series (shards.json only;
   // the occupancy numbers are deterministic, the stall is wall-clock).
-  if (shards_.size() > 1) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      ShardScratch& shard = shards_[s];
-      ShardStats& stats = shard_stats_[s];
-      const double mean =
-          shard.stat_windows > 0
-              ? static_cast<double>(shard.stat_entries) /
-                    static_cast<double>(shard.stat_windows)
-              : 0.0;
-      stats.occupancy_series.emplace_back(now, mean);
-      stats.stall_series.emplace_back(now, stats.barrier_stall_s);
-      shard.stat_entries = 0;
-      shard.stat_windows = 0;
-    }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    ShardScratch& shard = shards_[s];
+    ShardStats& stats = shard_stats_[s];
+    const double mean =
+        shard.stat_windows > 0
+            ? static_cast<double>(shard.stat_entries) /
+                  static_cast<double>(shard.stat_windows)
+            : 0.0;
+    stats.occupancy_series.emplace_back(now, mean);
+    stats.stall_series.emplace_back(now, stats.barrier_stall_s);
+    shard.stat_entries = 0;
+    shard.stat_windows = 0;
   }
 }
 

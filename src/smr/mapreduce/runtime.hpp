@@ -56,7 +56,7 @@ struct RuntimeConfig {
 
   /// Fluid integration step.
   SimTime tick = 0.25;
-  /// Sharded parallel tick: the worker nodes are partitioned into this many
+  /// Sharded tick: the worker nodes are partitioned into this many
   /// contiguous shards and each tick's data plane (census, flow collection,
   /// per-node solves, progress integration) runs shard-parallel on a thread
   /// pool inside a conservative time window (one tick — strictly shorter
@@ -64,8 +64,8 @@ struct RuntimeConfig {
   /// Cross-shard effects (job-level float accumulation, trace events,
   /// completions) are buffered in per-shard mailboxes and drained at the
   /// window barrier in (shard, sequence) order, which equals node order, so
-  /// every output is byte-identical to the serial engine for any fixed
-  /// shard count and any thread count.  1 = the serial tick path.
+  /// every output is byte-identical for any shard count and any thread
+  /// count.  1 = a single shard, run inline on the calling thread.
   int shard_count = 1;
   /// Task tracker heartbeat period (Hadoop default 3 s), staggered across
   /// trackers.
@@ -285,17 +285,19 @@ class Runtime {
   /// compute model plus the network model (perf instrumentation).
   cluster::MaxMinSolver::Stats solver_stats() const;
 
-  /// Thread pool for the sharded tick (must outlive run()).  Unset with
-  /// shard_count > 1 falls back to default_thread_pool().  The pool size
-  /// never changes results: shard boundaries come from shard_count alone,
-  /// and an inline (1-thread) pool runs the shards serially in shard order.
+  /// Thread pool for the sharded tick (must outlive run()); unset falls
+  /// back to default_thread_pool().  A lone shard runs inline and never
+  /// uses it.  The pool size never changes results: shard boundaries come
+  /// from shard_count alone, and an inline (1-thread) pool runs the shards
+  /// serially in shard order.
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
-  /// Per-shard window statistics (empty unless shard_count > 1).  The
-  /// occupancy numbers are deterministic (resolved attempts per window);
+  /// Per-shard window statistics, one row per shard.  The occupancy
+  /// numbers are deterministic (resolved attempts per window);
   /// barrier_stall_s is wall-clock time the shard spent finished-but-
-  /// waiting at window barriers, so it varies run to run and is reported
-  /// through the separate shards.json artifact, never the compared ones.
+  /// waiting at window barriers (always 0 for a lone shard), so it varies
+  /// run to run and is reported through the separate shards.json artifact,
+  /// never the compared ones.
   struct ShardStats {
     int shard = 0;
     NodeId node_begin = 0;
@@ -312,10 +314,8 @@ class Runtime {
   };
   std::span<const ShardStats> shard_stats() const { return shard_stats_; }
   // (write_shard_stats_json, declared after the class, serialises these.)
-  /// Effective shard count (config clamped to the node count); 1 = serial.
-  int shard_count() const {
-    return shards_.empty() ? 1 : static_cast<int>(shards_.size());
-  }
+  /// Effective shard count (config clamped to the node count).
+  int shard_count() const { return static_cast<int>(shards_.size()); }
 
  private:
   struct TaskRef {
@@ -329,17 +329,16 @@ class Runtime {
     std::int32_t shadow_slot = -1;
   };
 
+  /// The fluid tick (runtime_shard.cpp): runs the per-shard stages as
+  /// windows and applies all cross-shard effects at the barrier in shard
+  /// order, so the output does not depend on the shard count (see
+  /// docs/PERF.md §7).
   void on_tick();
-  /// Shard-parallel tick body (shards_.size() > 1): same stages as
-  /// on_tick(), with the per-node work fanned out over the shards and all
-  /// cross-shard effects applied at the barrier in shard order.  Byte-
-  /// identical to on_tick() by construction (see docs/PERF.md §7).
-  void on_tick_sharded();
-  /// Partition the nodes into config_.shard_count contiguous shards and
-  /// size the per-shard scratch; no-op for shard_count <= 1.
+  /// Partition the nodes into config_.shard_count (clamped to [1, nodes])
+  /// contiguous shards.
   void setup_shards();
-  // Per-shard window bodies (runtime_shard.cpp): each runs on the pool and
-  // writes only shard-owned state.
+  // Per-shard window bodies (runtime_shard.cpp): each writes only
+  // shard-owned state.
   struct ShardScratch;
   void shard_census(ShardScratch& s, bool detect_doom);
   void shard_collect_flows(ShardScratch& s);
@@ -531,58 +530,32 @@ class Runtime {
   /// ticks a node's occupancy and loads are usually unchanged, so the
   /// per-tick solve is answered from the cache.
   std::vector<cluster::ComputeModel> node_models_;
-  /// Per-tick scratch, hoisted so the fluid tick allocates nothing in
-  /// steady state.  The SoA ref arrays are rebuilt once per tick in node
-  /// order (the "one pass over the dense task-ref vector"): every later
-  /// tick stage indexes them instead of re-resolving ids through hash maps
-  /// — hot fields (task/job pointers) split from cold spec data.
+  /// Cluster-wide tick buffers, hoisted so the fluid tick allocates nothing
+  /// in steady state: the shards' flows concatenated for the single network
+  /// solve, its grants, and the id-sorted merges of the shards' completion,
+  /// settle and doomed-attempt lists.
   struct TickScratch {
-    // Running tasks, resolved once, node order (SoA).
-    std::vector<TaskId> map_id, red_id;
-    std::vector<MapTask*> map_task;
-    std::vector<ReduceTask*> red_task;
-    std::vector<Job*> map_job, red_job;
-    std::vector<const JobSpec*> map_spec, red_spec;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> map_range, red_range;
-    // Census + network + solve stages.
-    std::vector<cluster::Occupancy> occ;
-    /// Nodes hosting a remote-reading map this tick: their load rate caps
-    /// track the per-tick network grant, so the solve can never be skipped.
-    std::vector<std::uint8_t> node_has_remote;
-    /// SoA indices of the tick's network participants, collected during the
-    /// resolve sweep (node order): reduces mid-shuffle and maps reading a
-    /// remote split.  The network stage walks these instead of re-scanning
-    /// every running task.
-    std::vector<std::uint32_t> shuffle_entries, remote_entries;
     std::vector<cluster::NetFlow> flows;
-    std::vector<std::uint32_t> flow_entry;  // index into map_* / red_* SoA
-    std::vector<bool> flow_is_shuffle;
     std::vector<int> fetch_streams;
     std::vector<double> net_rates;
-    std::vector<double> shuffle_disk_demand;
-    std::vector<double> shuffle_scale;
-    std::vector<cluster::BackgroundLoad> background;
-    std::vector<cluster::PhaseLoad> loads;          // per node
-    std::vector<std::uint32_t> load_entry;          // per node, SoA index
-    std::vector<bool> load_is_map;                  // per node
-    struct ComputeRate {
-      std::uint32_t entry;
-      bool is_map;
-      double rate;
-    };
-    std::vector<ComputeRate> compute;  // node-ordered, all nodes
-    // Completion / settle stages.
     std::vector<TaskId> finished_maps, finished_reduces;
     std::vector<TaskId> settle_primaries, settle_shadows;
-    // Fault injection (collected during the resolve pass).
     std::vector<TaskId> doomed_maps, doomed_reduces;
   };
   TickScratch tick_;
-  /// Per-shard tick scratch for the sharded parallel tick.  Mirrors
-  /// TickScratch over the shard's contiguous node range only, node-indexed
-  /// arrays in local node space (global node = node_lo + local).  During a
-  /// window everything here is written exclusively by the owning shard;
-  /// the mailboxes are drained serially at the barrier.
+  /// One node-ordered (task, rate) pair of the per-node compute solve.
+  struct ComputeRate {
+    std::uint32_t entry;  // index into the shard's map_* / red_* SoA
+    bool is_map;
+    double rate;
+  };
+  /// Per-shard tick scratch over the shard's contiguous node range,
+  /// node-indexed arrays in local node space (global node = node_lo +
+  /// local).  The SoA ref arrays are rebuilt by the census in node order:
+  /// every later stage indexes them instead of re-resolving ids — hot
+  /// fields (task/job pointers) split from cold spec data.  During a window
+  /// everything here is written exclusively by the owning shard; the
+  /// mailboxes are drained serially at the barrier.
   struct ShardScratch {
     int index = 0;
     NodeId node_lo = 0;
@@ -595,7 +568,11 @@ class Runtime {
     std::vector<const JobSpec*> map_spec, red_spec;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> map_range, red_range;
     std::vector<cluster::Occupancy> occ;
+    /// Nodes hosting a remote-reading map this tick: their load rate caps
+    /// track the per-tick network grant, so the solve can never be skipped.
     std::vector<std::uint8_t> node_has_remote;
+    /// SoA indices of the tick's network participants (node order): reduces
+    /// mid-shuffle and maps reading a remote split.
     std::vector<std::uint32_t> shuffle_entries, remote_entries;
     std::vector<TaskId> settle_primaries, settle_shadows;
     std::vector<TaskId> doomed_maps, doomed_reduces;
@@ -610,10 +587,10 @@ class Runtime {
     std::vector<cluster::PhaseLoad> loads;
     std::vector<std::uint32_t> load_entry;
     std::vector<std::uint8_t> load_is_map;
-    std::vector<TickScratch::ComputeRate> compute;
+    std::vector<ComputeRate> compute;
     // Mailboxes: job-level float deltas and trace events produced inside
-    // the window, replayed at the barrier in shard order (== node order ==
-    // the serial accumulation order, hence byte-identical sums).
+    // the window, replayed at the barrier in shard order (== node order,
+    // hence byte-identical sums for any shard count).
     struct FpDelta {
       Job* job;
       double delta;
@@ -630,12 +607,24 @@ class Runtime {
     };
     std::vector<TraceBuf> trace_events;
     std::vector<TaskId> finished_maps, finished_reduces;
-    /// Some owned task changed phase inside the window; OR'd into the
-    /// global + per-shard dirty flags at the barrier.
-    bool phase_dirty = false;
-    // Shard-local census quiescence (same scheme as the serial fields).
+    /// Some task on an owned node changed phase since the last census
+    /// sweep: set by the control plane through mark_node_dirty and by the
+    /// shard's own window transitions, consumed by the shard's census.
+    /// While membership and every phase are unchanged and no fault
+    /// injection is armed, the census output is provably identical to the
+    /// previous tick's and the sweep is skipped.
+    bool phase_dirty = true;
+    /// Guard for reusing the SoA ref arrays across ticks: they are a pure
+    /// function of the shard's tracker running lists (membership + order)
+    /// and of the job/shadow storage those ids resolve into.  The summed
+    /// tracker versions change on every launch/finish on the shard's nodes
+    /// (versions only ever increment, so the sum cannot alias), and
+    /// storage_generation_ on every growth of jobs_ or a shadow pool, which
+    /// may move tasks of *any* shard.  While both match, only the
+    /// phase-dependent census is re-swept; ids, pointers and ranges are
+    /// reused as-is.
     std::uint64_t resolve_version_sum = ~std::uint64_t{0};
-    std::size_t resolve_jobs_size = ~std::size_t{0};
+    std::uint64_t resolve_storage_generation = ~std::uint64_t{0};
     /// Wall-clock instant (steady-clock seconds) this shard finished the
     /// current parallel stage; barrier stall = window max minus this.
     double stage_end = 0.0;
@@ -645,29 +634,12 @@ class Runtime {
   };
   std::vector<ShardScratch> shards_;
   std::vector<ShardStats> shard_stats_;
-  /// node -> owning shard; empty when running serially.
+  /// node -> owning shard.
   std::vector<std::uint16_t> node_shard_;
-  /// Per-shard census phase-dirty flags: set by the (serial) control plane
-  /// through mark_node_dirty and by each shard's own window transitions,
-  /// consumed and cleared by the owning shard's census.
-  std::vector<std::uint8_t> shard_phase_dirty_;
   ThreadPool* pool_ = nullptr;
-  /// Guard for reusing the tick's SoA ref arrays across ticks: the arrays
-  /// are a pure function of the tracker running lists (membership + order)
-  /// and of the job/shadow storage those ids resolve into.  The summed
-  /// tracker versions change on every launch/finish (versions only ever
-  /// increment, so the sum cannot alias), and jobs_.size() catches the one
-  /// pointer-invalidating mutation that bumps no version: a serving-path
-  /// submit() growing jobs_.  While both match, only the phase-dependent
-  /// census is re-swept; ids, pointers and ranges are reused as-is.
-  std::uint64_t resolve_version_sum_ = ~std::uint64_t{0};
-  std::size_t resolve_jobs_size_ = ~std::size_t{0};
-  /// True when some running task's phase changed since the last census
-  /// sweep (set alongside the per-node dirty marks).  While membership and
-  /// every phase are unchanged and no fault injection is armed, the whole
-  /// census output (occupancy, network participants, settle candidates) is
-  /// provably identical to the previous tick's and the sweep is skipped.
-  bool census_phase_dirty_ = true;
+  /// Bumped whenever jobs_ or a shadow pool grows (and so may reallocate,
+  /// moving tasks the shards' cached SoA pointers point at).
+  std::uint64_t storage_generation_ = 0;
   /// Per-node quiescence tracking for the tick's compute solve: a node
   /// whose tracker version is unchanged (no launch/finish), with no pure
   /// phase transition flagged (node_dirty_), no remote-reading map, and
@@ -679,12 +651,9 @@ class Runtime {
   std::vector<cluster::BackgroundLoad> node_bg_prev_;
   std::vector<std::vector<double>> node_rates_cache_;
   void mark_node_dirty(NodeId node) {
-    census_phase_dirty_ = true;
     if (node >= 0 && static_cast<std::size_t>(node) < node_dirty_.size()) {
       node_dirty_[static_cast<std::size_t>(node)] = 1;
-      if (!node_shard_.empty()) {
-        shard_phase_dirty_[node_shard_[static_cast<std::size_t>(node)]] = 1;
-      }
+      shards_[node_shard_[static_cast<std::size_t>(node)]].phase_dirty = true;
     }
   }
   /// Remote-read network grants, epoch-stamped by tick so the table never

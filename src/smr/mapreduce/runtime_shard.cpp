@@ -1,33 +1,33 @@
-// The sharded parallel tick: conservative time-window execution of the
-// fluid data plane over node shards (docs/PERF.md §7).
+// The fluid tick: conservative time-window execution of the data plane over
+// node shards (docs/PERF.md §7).
 //
-// The cluster's worker nodes are partitioned into contiguous shards.  Each
-// tick is one conservative window: the fluid step's lookahead is the tick
-// itself, which is strictly below the minimum cross-shard interaction
-// latency (control-plane effects — assignments, requeues — only happen on
+// The cluster's worker nodes are partitioned into contiguous shards (one
+// shard unless RuntimeConfig::shard_count asks for more).  Each tick is one
+// conservative window: the fluid step's lookahead is the tick itself, which
+// is strictly below the minimum cross-shard interaction latency
+// (control-plane effects — assignments, requeues — only happen on
 // heartbeats, and data-plane coupling inside the tick is mediated by the
 // single global network solve at the window edge).  Within the window every
-// shard advances its own nodes on the thread pool; at the barrier the
-// cross-shard effects are applied serially in shard order.
+// shard advances its own nodes; at the barrier the cross-shard effects are
+// applied serially in shard order.
 //
-// Byte-identity with the serial tick is by construction, not by tolerance:
+// Byte-identity across shard counts is by construction, not by tolerance:
 //   * Shards are contiguous node ranges, so concatenating per-shard output
-//     in shard order reproduces the serial node order exactly — flows for
-//     the network solve, compute entries, trace events.
+//     in shard order reproduces the node order of a single shard exactly —
+//     flows for the network solve, compute entries, trace events.
 //   * Job-level floating-point accumulators (bytes_shuffled,
 //     map_input_processed, the cluster cum_* totals) are never touched
 //     inside the window.  Each shard records one (job, delta) mailbox entry
 //     per task touch; the barrier replays the mailboxes in (shard, seq)
-//     order, which is the serial accumulation order, so every sum is
-//     bit-for-bit the serial sum.
+//     order, which is node order, so every sum is bit-for-bit the same for
+//     any shard count.
 //   * Completions, settles and doomed attempts are merged and sorted by
-//     task id before the serial application loop — exactly what the serial
-//     path does with its own node-ordered lists.
+//     task id before the serial application loop.
 //   * The per-node solver instances and their memo caches are owned by the
 //     node's shard, so solver call/hit counters are identical too.
 // None of this depends on the pool size: a 1-thread (inline) pool runs the
 // shards serially in shard order with the same merge, so any thread count
-// produces the same bytes for a fixed shard count.
+// produces the same bytes.  A lone shard runs inline without the pool.
 
 #include <algorithm>
 #include <chrono>
@@ -56,14 +56,10 @@ double wall_seconds() {
 
 void Runtime::setup_shards() {
   const int n = config_.cluster.worker_count();
-  const int requested = config_.shard_count;
-  const int count = std::min(requested, n);
-  if (count <= 1) return;  // serial tick path
-  shards_.clear();
+  const int count = std::max(1, std::min(config_.shard_count, n));
   shards_.resize(static_cast<std::size_t>(count));
   shard_stats_.assign(static_cast<std::size_t>(count), ShardStats{});
   node_shard_.assign(static_cast<std::size_t>(n), 0);
-  shard_phase_dirty_.assign(static_cast<std::size_t>(count), 1);
   for (int s = 0; s < count; ++s) {
     ShardScratch& shard = shards_[static_cast<std::size_t>(s)];
     shard.index = s;
@@ -77,10 +73,23 @@ void Runtime::setup_shards() {
       node_shard_[static_cast<std::size_t>(d)] = static_cast<std::uint16_t>(s);
     }
   }
-  if (pool_ == nullptr) pool_ = &default_thread_pool();
 }
 
-// --- Stage A: per-shard census (the serial resolve pass over one shard) ----
+// --- Stage A: per-shard census ----------------------------------------------
+//
+// Resolves every running attempt on the shard's nodes once: one pass over the
+// tracker lists and the dense task-ref table builds SoA views (ids / task
+// pointers / job pointers / specs, node order).  Every later stage indexes
+// these instead of re-resolving attempt ids.  Pointers stay valid for the
+// whole tick: no attempt launches happen outside heartbeats, and teardown
+// paths run after the stages that use them.  The occupancy census and the
+// network-participant and settle-candidate lists ride the same pass.
+//
+// Doom detection rides it too: an attempt whose progress crossed its
+// injected-failure threshold last tick dies at this tick boundary, before
+// the census is used (freeing its slot for the next heartbeat's assignment
+// round).  Firing failures mutates the tracker lists, so the census is
+// re-run afterwards — a rare second window.
 
 void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
   const auto lo = static_cast<std::size_t>(s.node_lo);
@@ -92,14 +101,14 @@ void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
   }
   std::uint64_t vsum = 0;
   for (std::size_t d = lo; d < hi; ++d) vsum += trackers_[d].version();
-  const bool same_membership =
-      vsum == s.resolve_version_sum && jobs_.size() == s.resolve_jobs_size;
-  const bool dirty = shard_phase_dirty_[static_cast<std::size_t>(s.index)] != 0;
-  // Shard-level quiescence, mirroring the serial skip: unchanged running
-  // lists, no phase change on any owned node, no doom scan pending — the
-  // scratch still holds this shard's previous census, which is identical.
-  if (same_membership && !dirty && !detect_doom) return;
-  shard_phase_dirty_[static_cast<std::size_t>(s.index)] = 0;
+  const bool same_membership = vsum == s.resolve_version_sum &&
+                               storage_generation_ == s.resolve_storage_generation;
+  // Quiescence: unchanged running lists, no phase change on any owned node,
+  // no doom scan pending — the scratch still holds this shard's previous
+  // census, which is bit-identical by construction (the barrier only reads
+  // the settle candidate lists).
+  if (same_membership && !s.phase_dirty && !detect_doom) return;
+  s.phase_dirty = false;
   s.settle_primaries.clear();
   s.settle_shadows.clear();
   s.shuffle_entries.clear();
@@ -108,7 +117,7 @@ void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
   s.node_has_remote.assign(local_n, 0);
   if (!same_membership) {
     s.resolve_version_sum = vsum;
-    s.resolve_jobs_size = jobs_.size();
+    s.resolve_storage_generation = storage_generation_;
     s.map_id.clear();
     s.map_task.clear();
     s.map_job.clear();
@@ -168,6 +177,9 @@ void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
         o.threads += shuffling ? 2 : 1;
         o.io_streams += 1;
         o.memory_demand += job->spec.reduce_task_memory;
+        // Shuffle-settle candidates: conditions are re-checked at settle
+        // time; phases can only *enter* kShuffling via requeues, which never
+        // happen inside a tick.
         if (shuffling) {
           s.shuffle_entries.push_back(entry);
           (ref.speculative ? s.settle_shadows : s.settle_primaries)
@@ -181,7 +193,9 @@ void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
                                static_cast<std::uint32_t>(s.red_id.size()));
     }
   } else {
-    // Membership unchanged: phase-dependent sweep over the cached arrays.
+    // Membership unchanged: sweep the cached arrays for the phase-dependent
+    // census only.  Field for field this repeats the rebuild above over
+    // identical tasks in identical order.
     for (std::size_t d = lo; d < hi; ++d) {
       const auto li = d - lo;
       auto& o = s.occ[li];
@@ -235,6 +249,10 @@ void Runtime::shard_collect_flows(ShardScratch& s) {
   s.flow_entry.clear();
   s.flow_is_shuffle.clear();
   for (std::size_t d = lo; d < hi; ++d) tick_.fetch_streams[d] = 0;
+  // Walk only the network participants collected by the census.  Both lists
+  // are in node order, so advancing each cursor to the end of the node's SoA
+  // range visits, per node, shuffling reduces first, then remote-reading
+  // maps.
   std::size_t sp = 0;
   std::size_t rp = 0;
   for (std::size_t d = lo; d < hi; ++d) {
@@ -298,14 +316,12 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
   s.shuffle_scale.assign(local_n, 1.0);
   for (std::size_t d = lo; d < hi; ++d) {
     const auto li = d - lo;
-    const auto& node_spec = config_.cluster.workers[d];
+    const double demand = s.shuffle_disk_demand[li];
+    if (demand <= 0.0) continue;  // no ingest, nothing to cap
     const double allowed =
         config_.shuffle_disk_share *
-        cluster::ComputeModel::effective_disk(node_spec, s.occ[li]);
-    const double demand = s.shuffle_disk_demand[li];
-    if (demand > allowed && demand > 0.0) {
-      s.shuffle_scale[li] = allowed / demand;
-    }
+        cluster::ComputeModel::effective_disk(config_.cluster.workers[d], s.occ[li]);
+    if (demand > allowed) s.shuffle_scale[li] = allowed / demand;
   }
   for (std::size_t f = 0; f < s.flows.size(); ++f) {
     if (s.flow_is_shuffle[f]) {
@@ -327,12 +343,26 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
 
   // 5. Per-node compute solve over owned nodes (the node models, their memo
   // caches and the per-node quiescence state are all owned by this shard).
+  // The (task, rate) pairs come out in node order, which keeps the
+  // floating-point accumulation below bit-for-bit reproducible.
   s.compute.clear();
   for (std::size_t d = lo; d < hi; ++d) {
     const auto li = d - lo;
     const auto& node_spec = config_.cluster.workers[d];
     const auto& tracker = trackers_[d];
     const cluster::BackgroundLoad& bg = s.background[li];
+    // Quiescent-node fast path.  A node's solve inputs (occupancy,
+    // background, per-load coefficients) are pure functions of its running
+    // set, each task's phase/local/cost_factor, the background shuffle
+    // ingest, and — for remote-read maps only — the per-tick network grant.
+    // The running set is covered by the tracker version counter (bumped on
+    // every launch/finish), pure phase transitions by the explicit dirty
+    // marks in the integration and settle stages, background by a bit
+    // compare, and grant-capped loads by excluding any node hosting a
+    // remote kMapping map.  When all four say "unchanged", the previous
+    // rates are provably bit-identical and are replayed from the cache
+    // without rebuilding loads; the skipped solver call is recorded as a
+    // memo hit so the reported solver stats stay byte-identical.
     const bool quiet = !node_dirty_[d] &&
                        tracker.version() == node_solve_version_[d] &&
                        !s.node_has_remote[li] &&
@@ -376,6 +406,8 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
                               : 0.0;
         }
       } else if (task.phase == MapPhase::kCombining) {
+        // In-memory aggregation over the pre-combine output: CPU-bound with
+        // light buffer churn on disk.
         load.cpu_per_byte =
             per_mib_to_per_byte(spec.combine_cpu_per_mib) * task.cost_factor;
         load.disk_per_byte = 0.3;
@@ -417,13 +449,18 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
   }
 
   // 6. Integrate progress on owned tasks; cross-shard (job-level) float
-  // accumulation and trace events go to the mailboxes.
+  // accumulation and trace events go to the mailboxes.  Shuffle progress
+  // first (jumps in `available` only happen via map completions at the
+  // barrier, so ordering within the tick is consistent).  Completions are
+  // collected and applied at the barrier: map completions mutate reduce
+  // backlogs, reduce completions mutate tracker lists.
   s.shuffle_deltas.clear();
   s.map_input_deltas.clear();
   s.trace_events.clear();
   s.finished_maps.clear();
   s.finished_reduces.clear();
   const bool tracing = trace_ != nullptr;
+  // Owned nodes only, so the window writes no other shard's flag.
   auto mark_owned_dirty = [&](NodeId node) {
     s.phase_dirty = true;
     node_dirty_[static_cast<std::size_t>(node)] = 1;
@@ -525,16 +562,23 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
 
 // --- The window driver ------------------------------------------------------
 
-void Runtime::on_tick_sharded() {
+void Runtime::on_tick() {
+  if (stopping_) return;
   const int n = config_.cluster.worker_count();
   TickScratch& t = tick_;
 
-  // Fan a stage out over the shards and account barrier stall: the gap
-  // between a shard finishing its work and the slowest shard closing the
-  // window.  An inline pool runs the shards serially in shard order, which
-  // changes only the stall numbers, never the simulation output.
-  TaskGroup group(*pool_);
-  auto run_window = [&](const std::function<void(ShardScratch&)>& stage) {
+  // Run one stage on every shard.  A lone shard runs inline: no task group,
+  // nothing to wait for, no stall to account.  Otherwise the stage fans out
+  // over the pool and the barrier stall is accounted: the gap between a
+  // shard finishing its work and the slowest shard closing the window.  An
+  // inline pool runs the shards serially in shard order, which changes only
+  // the stall numbers, never the simulation output.
+  auto run_window = [this](auto&& stage) {
+    if (shards_.size() == 1) {
+      stage(shards_.front());
+      return;
+    }
+    TaskGroup group(pool_ != nullptr ? *pool_ : default_thread_pool());
     for (ShardScratch& s : shards_) {
       ShardScratch* sp = &s;
       group.submit([sp, &stage] {
@@ -568,7 +612,7 @@ void Runtime::on_tick_sharded() {
                               s.doomed_reduces.end());
     }
     if (t.doomed_maps.empty() && t.doomed_reduces.empty()) break;
-    detect_doom = false;  // one detection round per tick, as in the serial path
+    detect_doom = false;  // one detection round per tick
     fail_doomed_attempts();
     if (stopping_) return;  // the last failure may have failed the last job
   }
@@ -583,14 +627,17 @@ void Runtime::on_tick_sharded() {
     s.flow_base = t.flows.size();
     t.flows.insert(t.flows.end(), s.flows.begin(), s.flows.end());
   }
+  // Copy out of the solver cache: the solve window rescales shuffle rates
+  // in place.
   {
     const std::vector<double>& granted =
         network_.allocate_cached(t.flows, t.fetch_streams);
     t.net_rates.assign(granted.begin(), granted.end());
   }
-  // Remote-read map grants (epoch-stamped, exactly the serial stage-5
-  // prologue; shuffle rescaling never touches non-shuffle rates, so
-  // stamping before the disk-cap stage reads identical values).
+  // Remote-read map grants, keyed by task id in an epoch-stamped dense
+  // table (no per-tick clearing, no hashing).  Shuffle rescaling never
+  // touches non-shuffle rates, so stamping before the disk-cap stage reads
+  // identical values.
   ++net_grant_cur_epoch_;
   if (net_grant_rate_.size() < static_cast<std::size_t>(next_task_id_)) {
     net_grant_rate_.resize(static_cast<std::size_t>(next_task_id_), 0.0);
@@ -609,8 +656,8 @@ void Runtime::on_tick_sharded() {
   run_window([this](ShardScratch& s) { shard_solve_integrate(s); });
 
   // --- D. Barrier: drain the mailboxes in shard order ---------------------
-  // (shard, seq) order equals node order equals the serial accumulation
-  // order, so the job-level and cluster-level sums are bit-identical.
+  // (shard, seq) order equals node order for any shard count, so the
+  // job-level and cluster-level sums are bit-identical.
   for (ShardScratch& s : shards_) {
     for (const ShardScratch::FpDelta& e : s.shuffle_deltas) {
       e.job->bytes_shuffled += e.delta;
@@ -624,18 +671,14 @@ void Runtime::on_tick_sharded() {
     }
   }
   for (ShardScratch& s : shards_) {
-    if (s.phase_dirty) {
-      s.phase_dirty = false;
-      census_phase_dirty_ = true;
-      shard_phase_dirty_[static_cast<std::size_t>(s.index)] = 1;
-    }
     for (const ShardScratch::TraceBuf& ev : s.trace_events) {
       trace_event(ev.kind, ev.job, ev.task, ev.node, ev.is_map, ev.detail);
     }
     s.trace_events.clear();
   }
 
-  // Completions: merge, sort by id, apply — the serial tail verbatim.
+  // Completions: merge, sort by id, apply (the compute sweep is in node
+  // order, not id order).
   t.finished_maps.clear();
   t.finished_reduces.clear();
   for (const ShardScratch& s : shards_) {
@@ -671,8 +714,10 @@ void Runtime::on_tick_sharded() {
     complete_reduce(job_of(task.job), task, id);
   }
 
-  // Settles: merge the shard candidate lists, sort, apply (primaries before
-  // shadows, ascending id — the serial order).
+  // Settles: merge the shard candidate lists, sort, apply (must run after
+  // map completions so the barrier state is current).  Ascending-id order
+  // reproduces the historic jobs-then-partitions scan, primaries before
+  // shadows.
   t.settle_primaries.clear();
   t.settle_shadows.clear();
   for (const ShardScratch& s : shards_) {
@@ -687,12 +732,15 @@ void Runtime::on_tick_sharded() {
     const TaskRef& ref = task_refs_[static_cast<std::size_t>(id)];
     Job& job = jobs_[static_cast<std::size_t>(ref.job)];
     ReduceTask& task = job.reduces[static_cast<std::size_t>(ref.index)];
+    // Re-check: a speculative win above may have completed (and thereby
+    // de-scheduled) the primary since the census.
     if (!task.running() || task.phase != ReducePhase::kShuffling) continue;
     settle_reduce(job, task);
   }
   if (!t.settle_shadows.empty()) {
     std::sort(t.settle_shadows.begin(), t.settle_shadows.end());
     for (TaskId id : t.settle_shadows) {
+      // The shadow may have been retired by a primary completing above.
       const TaskRef* ref = find_task_ref(id);
       if (ref == nullptr) continue;
       ReduceTask& task =

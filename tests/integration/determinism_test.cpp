@@ -131,7 +131,7 @@ TEST(Determinism, SweepBitIdenticalAcrossPoolSizes) {
 
 TEST(Determinism, ShardedBitIdenticalToSerialAcrossShardAndPoolSizes) {
   // Tentpole invariant: for a fixed workload, --shards=N must produce the
-  // same bytes as the serial engine for every N and every thread count
+  // same bytes as --shards=1 for every N and every thread count
   // (shard_count above the node count clamps; a 1-thread pool runs the
   // shard windows inline in shard order).
   for (EngineKind engine : all_engines()) {
@@ -206,6 +206,42 @@ TEST(Determinism, ShardedFaultInjectionCrossShardBitIdentical) {
       EXPECT_EQ(serial.solver_full_solves, sharded.solver_full_solves);
     }
   }
+}
+
+// Speculation on a half-slow cluster: backups launch on the fast shard
+// while their primaries straggle on the slow one, so a shadow-pool growth
+// on one shard moves attempts another shard has cached pointers to.
+void expect_speculation_bit_identical(bool reduce_speculation) {
+  ExperimentConfig config = small_config(EngineKind::kSMapReduce, 1);
+  config.runtime.cluster = cluster::ClusterSpec::heterogeneous(3, 3, 0.5);
+  config.runtime.speculative_execution = true;
+  config.runtime.speculative_reduce_execution = reduce_speculation;
+  mapreduce::JobSpec spec =
+      workload::make_puma_job(workload::Puma::kTerasort, 2 * kGiB);
+  spec.reduce_tasks = 8;
+  const std::vector<JobSubmission> jobs = {JobSubmission{spec, 0.0}};
+  ThreadPool one(1);
+  ThreadPool many(16);
+  const metrics::RunResult reference = run_experiment(config, jobs, one);
+  for (int shards : {1, 2, 3}) {
+    config.runtime.shard_count = shards;
+    for (ThreadPool* pool : {&one, &many}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(pool->thread_count()));
+      const metrics::RunResult run = run_experiment(config, jobs, *pool);
+      expect_bitwise_equal(reference, run);
+      EXPECT_EQ(reference.solver_calls, run.solver_calls);
+      EXPECT_EQ(reference.solver_full_solves, run.solver_full_solves);
+    }
+  }
+}
+
+TEST(Determinism, ShardedMapSpeculationHeterogeneousBitIdentical) {
+  expect_speculation_bit_identical(/*reduce_speculation=*/false);
+}
+
+TEST(Determinism, ShardedReduceSpeculationHeterogeneousBitIdentical) {
+  expect_speculation_bit_identical(/*reduce_speculation=*/true);
 }
 
 TEST(Determinism, SolverCountersAreDeterministic) {
