@@ -10,7 +10,7 @@ namespace smr::cluster {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kEps = 1e-9;
+constexpr double kEps = kMaxMinEps;
 }  // namespace
 
 std::vector<double> max_min_allocate(std::span<const double> capacities,
@@ -137,15 +137,11 @@ bool MaxMinSolver::cache_usable(std::span<const double> capacities,
     if (flows[i].uses != flows_[i].uses) return false;
     const double cap = flows[i].rate_cap;
     if (cap == flows_[i].rate_cap) continue;
-    // A rate cap moved.  The cached rates are still exact iff the flow was
-    // frozen by a saturated resource (not clamped to its cap) and the new
-    // cap keeps a strict epsilon margin above the flow's rate: then the cap
-    // never wins the per-round delta minimisation and never trips the
-    // cap-freeze test, so the whole delta sequence — and hence every rate —
-    // is unchanged.  The degenerate all-blocked ending gives no such
-    // guarantee, so it disables this path entirely.
-    if (degenerate_ || frozen_by_cap_[i]) return false;
-    if (cap != kNoCap && !(cap - rates_[i] > kEps * (1.0 + cap))) return false;
+    // A rate cap moved.  The degenerate all-blocked ending gives no
+    // guarantee about the delta sequence, so it disables this path.
+    if (degenerate_ || !cap_move_is_slack(cap, rates_[i], frozen_by_cap_[i])) {
+      return false;
+    }
     caps_only = true;
   }
   return true;
@@ -177,6 +173,7 @@ const std::vector<double>& MaxMinSolver::solve(std::span<const double> capacitie
     flows_[i].rate_cap = flows[i].rate_cap;
     flows_[i].uses.assign(flows[i].uses.begin(), flows[i].uses.end());
   }
+  valid_ = false;  // a throwing solve must not leave a half-written cache
   waterfill();
   valid_ = true;
   return rates_;

@@ -5,9 +5,10 @@
 // own rate, and may additionally carry a per-flow rate cap.  The allocator
 // raises all uncapped, unfrozen flow rates at the same pace; whenever a
 // resource saturates, every flow using it freezes at the current level.
-// This is the standard fluid model for fair CPU scheduling, disk sharing
-// and per-port network sharing, and is used by both the per-node compute
-// solver and the cluster-wide shuffle solver.
+// This is the standard fluid model for fair CPU scheduling and disk
+// sharing, and it serves the per-node compute solves.  The cluster-wide
+// network has a fixed port topology and its own bit-identical water-fill
+// (cluster::NetworkModel); there max_min_allocate() is the oracle.
 //
 // Two entry points:
 //   * max_min_allocate() — the reference ("oracle") implementation.  Kept
@@ -52,6 +53,22 @@ struct FlowDemand {
 
 inline constexpr double kNoCap = -1.0;
 
+/// Relative slack of the water-fill's saturation and cap tests: resource r
+/// is saturated once at most kMaxMinEps * (capacity_r + 1) of it remains,
+/// and a flow is at its cap once its rate is within kMaxMinEps * (1 + cap).
+inline constexpr double kMaxMinEps = 1e-9;
+
+/// The cap-slack rule of the incremental solvers.  After a solve that did
+/// not end in the degenerate all-blocked branch, a flow's cap may move to
+/// `new_cap` with every rate unchanged when the flow was frozen by a
+/// saturated resource (not clamped to its cap) and `new_cap` keeps a strict
+/// epsilon margin above its cached `rate`: the cap then never wins a
+/// round's delta minimisation and never trips the cap-freeze test.
+inline bool cap_move_is_slack(double new_cap, double rate, bool frozen_by_cap) {
+  if (frozen_by_cap) return false;
+  return new_cap == kNoCap || new_cap - rate > kMaxMinEps * (1.0 + new_cap);
+}
+
 /// Compute the max-min fair rates.  `capacities[r]` is the total capacity of
 /// resource r (>= 0).  Returns one rate per flow (>= 0).  Weights must be
 /// >= 0; zero-capacity resources freeze their users at rate 0.
@@ -80,9 +97,8 @@ class MaxMinSolver {
   /// Results are bit-identical to max_min_allocate(capacities, flows) in
   /// every case:
   ///   1. Inputs identical to the previous call — return the cached rates.
-  ///   2. Same capacities/uses and only rate caps changed, where every
-  ///      changed cap belongs to a resource-frozen flow and keeps a strict
-  ///      epsilon margin above that flow's rate — the water-filling delta
+  ///   2. Same capacities/uses and only rate caps changed, and every
+  ///      changed cap passes cap_move_is_slack() — the water-filling delta
   ///      sequence is provably unchanged, so the cached rates are returned.
   ///   3. Anything else — full re-solve (identical arithmetic to the
   ///      oracle, with scratch buffers reused across calls).

@@ -1,15 +1,29 @@
 #include "smr/cluster/network_model.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
 
 #include "smr/common/error.hpp"
 
 namespace smr::cluster {
 
-void NetworkModel::build_problem(std::span<const NetFlow> flows,
-                                 std::span<const int> fetch_streams_per_node,
-                                 std::vector<double>& capacities,
-                                 std::vector<FlowDemand>& demands) const {
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2.0;
+
+double saturated_below(double capacity) { return kMaxMinEps * (capacity + 1.0); }
+
+bool same_flow(const NetFlow& a, const NetFlow& b) {
+  return a.dst == b.dst && a.src == b.src && a.rate_cap == b.rate_cap;
+}
+
+}  // namespace
+
+void NetworkModel::port_capacities(std::span<const int> fetch_streams_per_node,
+                                   std::vector<double>& capacities) const {
   const auto& spec = *spec_;
   const int n = spec.worker_count();
   SMR_CHECK(fetch_streams_per_node.empty() ||
@@ -27,12 +41,29 @@ void NetworkModel::build_problem(std::span<const NetFlow> flows,
     capacities[static_cast<std::size_t>(n + i)] = node.nic_bandwidth;
   }
   capacities[static_cast<std::size_t>(2 * n)] = spec.network.fabric_bandwidth;
+}
 
+void NetworkModel::check_flows(std::span<const NetFlow> flows) const {
+  const int n = spec_->worker_count();
+  for (const NetFlow& flow : flows) {
+    SMR_CHECK_MSG(flow.dst >= 0 && flow.dst < n, "flow with invalid dst " << flow.dst);
+    if (flow.src != kInvalidNode) {
+      SMR_CHECK_MSG(flow.src >= 0 && flow.src < n, "flow with invalid src " << flow.src);
+    }
+  }
+}
+
+void NetworkModel::build_problem(std::span<const NetFlow> flows,
+                                 std::span<const int> fetch_streams_per_node,
+                                 std::vector<double>& capacities,
+                                 std::vector<FlowDemand>& demands) const {
+  port_capacities(fetch_streams_per_node, capacities);
+  check_flows(flows);
+  const int n = spec_->worker_count();
   const double diffuse_weight = 1.0 / static_cast<double>(n);
   demands.resize(flows.size());
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const auto& flow = flows[f];
-    SMR_CHECK_MSG(flow.dst >= 0 && flow.dst < n, "flow with invalid dst " << flow.dst);
     FlowDemand& d = demands[f];
     d.rate_cap = flow.rate_cap;
     d.uses.clear();
@@ -42,7 +73,6 @@ void NetworkModel::build_problem(std::span<const NetFlow> flows,
       // Diffuse: spread across every transmit port.
       for (int s = 0; s < n; ++s) d.uses.push_back({n + s, diffuse_weight});
     } else {
-      SMR_CHECK_MSG(flow.src >= 0 && flow.src < n, "flow with invalid src " << flow.src);
       d.uses.push_back({n + flow.src, 1.0});
     }
   }
@@ -57,14 +87,6 @@ std::vector<double> NetworkModel::allocate(
   return max_min_allocate(capacities, demands);
 }
 
-namespace {
-
-bool same_flow(const NetFlow& a, const NetFlow& b) {
-  return a.dst == b.dst && a.src == b.src && a.rate_cap == b.rate_cap;
-}
-
-}  // namespace
-
 const std::vector<double>& NetworkModel::allocate_cached(
     std::span<const NetFlow> flows, std::span<const int> fetch_streams_per_node) {
   if (flows.empty()) return empty_;
@@ -72,23 +94,399 @@ const std::vector<double>& NetworkModel::allocate_cached(
   // Raw-input memo: capacities and demands are pure functions of (flows,
   // fetch_streams) for the instance's fixed cluster spec, so bit-equal raw
   // inputs are guaranteed to reproduce the previous result without
-  // rebuilding the problem or running the solver's own input comparison.
-  if (memo_valid_ && flows.size() == memo_flows_.size() &&
-      fetch_streams_per_node.size() == memo_streams_.size() &&
-      std::equal(flows.begin(), flows.end(), memo_flows_.begin(), same_flow) &&
+  // rebuilding the capacities or running the cache comparison.
+  if (valid_ && flows.size() == flows_.size() &&
+      fetch_streams_per_node.size() == streams_.size() &&
+      std::equal(flows.begin(), flows.end(), flows_.begin(), same_flow) &&
       std::equal(fetch_streams_per_node.begin(), fetch_streams_per_node.end(),
-                 memo_streams_.begin())) {
-    ++memo_hits_;
-    return memo_rates_;
+                 streams_.begin())) {
+    ++stats_.calls;
+    ++stats_.cache_hits;
+    return rates_;
   }
 
-  build_problem(flows, fetch_streams_per_node, caps_scratch_, demands_scratch_);
-  const std::vector<double>& rates = solver_.solve(caps_scratch_, demands_scratch_);
-  memo_flows_.assign(flows.begin(), flows.end());
-  memo_streams_.assign(fetch_streams_per_node.begin(), fetch_streams_per_node.end());
-  memo_rates_ = rates;
-  memo_valid_ = true;
-  return memo_rates_;
+  port_capacities(fetch_streams_per_node, next_capacities_);
+  check_flows(flows);
+  ++stats_.calls;
+  bool caps_only = false;
+  const bool reuse = cache_usable(flows, caps_only);
+  flows_.assign(flows.begin(), flows.end());
+  streams_.assign(fetch_streams_per_node.begin(), fetch_streams_per_node.end());
+  if (reuse) {
+    ++(caps_only ? stats_.cap_fast_hits : stats_.cache_hits);
+    return rates_;
+  }
+
+  ++stats_.full_solves;
+  capacities_.swap(next_capacities_);
+  valid_ = false;  // a throwing solve must not leave a half-written cache
+  waterfill();
+  valid_ = true;
+  return rates_;
+}
+
+// MaxMinSolver's cache rule on the generic problem, read off the topology:
+// equal capacities, equal resource uses (same dst and src), and every moved
+// cap slack.
+bool NetworkModel::cache_usable(std::span<const NetFlow> flows, bool& caps_only) const {
+  caps_only = false;
+  if (!valid_ || flows.size() != flows_.size()) return false;
+  if (!std::equal(next_capacities_.begin(), next_capacities_.end(), capacities_.begin(),
+                  capacities_.end())) {
+    return false;
+  }
+  // With one node a diffuse flow's only tx use is port 0 at weight 1/1,
+  // the same use as a point flow from node 0.
+  const bool one_node = spec_->worker_count() == 1;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const NetFlow& now = flows[i];
+    const NetFlow& was = flows_[i];
+    if (now.dst != was.dst || (now.src != was.src && !one_node)) return false;
+    if (now.rate_cap == was.rate_cap) continue;
+    if (degenerate_ || !cap_move_is_slack(now.rate_cap, rates_[i], frozen_by_cap_[i])) {
+      return false;
+    }
+    caps_only = true;
+  }
+  return true;
+}
+
+double NetworkModel::fold(const PointPort& point, double diffuse_weight) const {
+  // The oracle's sum for this port: its live flows in ascending index
+  // order, diffuse ones adding 1/n and the port's point flows adding 1.0.
+  double sumw = 0.0;
+  std::size_t d = 0;
+  for (std::uint32_t k = point.begin; k < point.end; ++k) {
+    const std::uint32_t i = point_flows_[k];
+    for (; d < diffuse_.size() && diffuse_[d] < i; ++d) sumw += diffuse_weight;
+    sumw += 1.0;
+  }
+  for (; d < diffuse_.size(); ++d) sumw += diffuse_weight;
+  return sumw;
+}
+
+std::uint32_t NetworkModel::add_port(double capacity, double sumw, bool tx) {
+  Port port;
+  port.remaining = capacity;
+  port.saturated_below = saturated_below(capacity);
+  port.sumw = sumw;
+  port.tx = tx;
+  ports_.push_back(port);
+  return static_cast<std::uint32_t>(ports_.size() - 1);
+}
+
+// Replay the rounds since the port's last sync: the oracle's update of this
+// resource, under the weight sum it had throughout.
+void NetworkModel::sync(Port& port) const {
+  for (std::size_t k = port.synced; k < deltas_.size(); ++k) {
+    port.remaining -= deltas_[k] * port.sumw;
+    if (port.remaining < 0.0) port.remaining = 0.0;  // numerical guard
+  }
+  port.synced = static_cast<std::uint32_t>(deltas_.size());
+}
+
+void NetworkModel::requeue(std::uint32_t id, double level, double margin) {
+  Port& port = ports_[id];
+  sync(port);
+  const double reach = level + port.remaining / port.sumw;
+  double key = reach - margin * reach - port.saturated_below / port.sumw;
+  if (std::isnan(key)) key = kInf;  // infinite remaining: due only on an unbounded round
+  ++port.version;
+  port.queued = true;
+  due_.push_back({key, id, port.version});
+  std::push_heap(due_.begin(), due_.end(), std::greater<>{});
+}
+
+void NetworkModel::reweigh(std::uint32_t id, double sumw, double level, double margin) {
+  Port& port = ports_[id];
+  sync(port);  // under the old weight
+  port.sumw = sumw;
+  if (sumw > 0.0) {
+    requeue(id, level, margin);
+  } else {
+    ++port.version;  // no live flow uses it, now or later: retire it
+    port.queued = false;
+  }
+}
+
+// Progressive filling with max_min_allocate()'s exact arithmetic, on the
+// network's shape (the argument is docs/PERF.md §8):
+//   * every active flow gains the same delta each round from 0, so all
+//     share one `level`; a flow's rate is written once, when it freezes;
+//   * rx and fabric weights are 1.0, so their weight sums are exact counts;
+//   * a tx port without a live point flow sums k diffuse weights, the
+//     precomputed diffuse_sum_[k]; ports with one fold their own terms;
+//   * tx ports without a point flow at the start share one remaining value
+//     per starting capacity (same subtractions from the same start);
+//   * every delta candidate is strictly positive, so visiting them in a
+//     different order than the oracle cannot change the minimum, and only
+//     the lowest live cap can win: fl(cap - level) is monotone in cap.
+//
+// Ports (every resource but the fabric) are lazy.  Each keeps its exact
+// remaining value as of its last sync and is replayed from the delta log
+// only when its weight changes or it is due.  It is due once the level may
+// reach `key` = reach - margin * reach - saturated_below / sumw, where
+// reach = level + remaining / sumw at the sync.  Until then, by the error
+// bounds below, its candidate stays >= every round's delta and it stays
+// above its saturation threshold, so it cannot change any round: each
+// replayed step is within 2u * remaining of exact, the level within
+// u * level per round, the rounds are at most the active flows + 1, and
+// margin = 16u * (flows + 8) + 1e-9 covers their sum with room to spare.
+void NetworkModel::waterfill() {
+  const int n = spec_->worker_count();
+  const auto un = static_cast<std::size_t>(n);
+  const std::size_t nf = flows_.size();
+  rates_.assign(nf, 0.0);
+  frozen_by_cap_.assign(nf, false);
+  degenerate_ = false;
+
+  for (std::size_t r = 0; r < capacities_.size(); ++r) {
+    SMR_CHECK_MSG(capacities_[r] >= 0.0, "negative capacity for resource " << r);
+  }
+  const double* rx_capacity = capacities_.data();
+  const double* tx_capacity = rx_capacity + n;
+  double fabric = capacities_[2 * un];
+  const double fabric_saturated = saturated_below(fabric);
+  // Any empty tx port blocks every diffuse flow; once true it stays true.
+  bool tx_empty = false;
+  for (std::size_t s = 0; s < un; ++s) {
+    if (tx_capacity[s] <= saturated_below(tx_capacity[s])) tx_empty = true;
+  }
+
+  // A flow with a zero cap, or touching an empty resource, never moves.
+  rx_live_.assign(un, 0);
+  tx_slot_.assign(un, 0);  // point-flow count per tx port, then its slot
+  active_.clear();
+  diffuse_.clear();
+  live_.assign(nf, 0);
+  for (std::size_t i = 0; i < nf; ++i) {
+    const NetFlow& flow = flows_[i];
+    const auto dst = static_cast<std::size_t>(flow.dst);
+    const bool diffuse = flow.src == kInvalidNode;
+    bool dead = flow.rate_cap != kNoCap && flow.rate_cap <= 0.0;
+    if (dead) frozen_by_cap_[i] = true;
+    if (rx_capacity[dst] <= saturated_below(rx_capacity[dst]) || fabric <= fabric_saturated) {
+      dead = true;
+    }
+    if (diffuse ? tx_empty
+                : tx_capacity[flow.src] <= saturated_below(tx_capacity[flow.src])) {
+      dead = true;
+    }
+    if (dead) continue;
+    live_[i] = 1;
+    active_.push_back(static_cast<std::uint32_t>(i));
+    ++rx_live_[dst];
+    if (diffuse) {
+      diffuse_.push_back(static_cast<std::uint32_t>(i));
+    } else {
+      ++tx_slot_[static_cast<std::size_t>(flow.src)];
+    }
+  }
+
+  // The ports: receive ports in use, tx ports with a point flow (each with
+  // an ascending slice of point_flows_), and one per capacity group of the
+  // other tx ports when diffuse flows load them.
+  ports_.clear();
+  due_.clear();
+  deltas_.clear();
+  rx_port_.resize(un);
+  for (std::size_t d = 0; d < un; ++d) {
+    if (rx_live_[d] > 0) {
+      rx_port_[d] = add_port(rx_capacity[d], static_cast<double>(rx_live_[d]), false);
+    }
+  }
+  point_ports_.clear();
+  point_flows_.resize(active_.size() - diffuse_.size());
+  group_capacities_.clear();
+  std::uint32_t offset = 0;
+  for (std::size_t s = 0; s < un; ++s) {
+    const int points = tx_slot_[s];
+    if (points == 0) {
+      tx_slot_[s] = -1;
+      if (!diffuse_.empty() &&
+          (group_capacities_.empty() || group_capacities_.back() != tx_capacity[s])) {
+        group_capacities_.push_back(tx_capacity[s]);
+      }
+      continue;
+    }
+    PointPort point;
+    point.port = add_port(tx_capacity[s], 0.0, true);
+    point.begin = point.end = offset;
+    offset += static_cast<std::uint32_t>(points);
+    tx_slot_[s] = static_cast<int>(point_ports_.size());
+    point_ports_.push_back(point);
+  }
+  for (const std::uint32_t i : active_) {
+    if (flows_[i].src != kInvalidNode) point_flows_[point_port(flows_[i].src).end++] = i;
+  }
+  const double diffuse_weight = 1.0 / static_cast<double>(n);
+  diffuse_sum_.assign(diffuse_.size() + 1, 0.0);
+  for (std::size_t k = 1; k < diffuse_sum_.size(); ++k) {
+    diffuse_sum_[k] = diffuse_sum_[k - 1] + diffuse_weight;
+  }
+  for (const PointPort& point : point_ports_) {
+    ports_[point.port].sumw = fold(point, diffuse_weight);
+  }
+  std::sort(group_capacities_.begin(), group_capacities_.end());
+  group_capacities_.erase(std::unique(group_capacities_.begin(), group_capacities_.end()),
+                          group_capacities_.end());
+  groups_.clear();
+  for (const double capacity : group_capacities_) {
+    groups_.push_back(add_port(capacity, diffuse_sum_[diffuse_.size()], true));
+  }
+
+  // Capped flows by cap (a NaN cap never wins a round or freezes a flow).
+  by_cap_.clear();
+  for (const std::uint32_t i : active_) {
+    const double cap = flows_[i].rate_cap;
+    if (cap != kNoCap && !std::isnan(cap)) by_cap_.push_back(i);
+  }
+  std::sort(by_cap_.begin(), by_cap_.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return flows_[a].rate_cap < flows_[b].rate_cap;
+  });
+
+  const double margin =
+      1e-9 + 16.0 * kUnitRoundoff * static_cast<double>(active_.size() + 8);
+  for (std::uint32_t id = 0; id < ports_.size(); ++id) requeue(id, 0.0, margin);
+
+  double level = 0.0;
+  std::size_t live = active_.size();
+  std::size_t lowest_cap = 0;
+  while (live > 0) {
+    while (lowest_cap < by_cap_.size() && live_[by_cap_[lowest_cap]] == 0) ++lowest_cap;
+    double delta = kInf;
+    if (lowest_cap < by_cap_.size()) {
+      delta = std::min(delta, flows_[by_cap_[lowest_cap]].rate_cap - level);
+    }
+    const auto fabric_sumw = static_cast<double>(live);
+    delta = std::min(delta, fabric / fabric_sumw);
+    // Bring in every port that may now matter.
+    touched_.clear();
+    while (!due_.empty()) {
+      const Due top = due_.front();
+      Port& port = ports_[top.port];
+      if (top.version == port.version && !(top.key <= level + delta)) break;
+      std::pop_heap(due_.begin(), due_.end(), std::greater<>{});
+      due_.pop_back();
+      if (top.version != port.version) continue;  // stale entry
+      port.queued = false;
+      sync(port);
+      delta = std::min(delta, port.remaining / port.sumw);
+      touched_.push_back(top.port);
+    }
+    SMR_CHECK_MSG(std::isfinite(delta),
+                  "max_min_allocate: unbounded flow (no cap and no finite resource)");
+    delta = std::max(delta, 0.0);
+    level += delta;
+    deltas_.push_back(delta);
+
+    fabric -= delta * fabric_sumw;
+    if (fabric < 0.0) fabric = 0.0;
+    const bool fabric_empty = fabric <= fabric_saturated;
+    bool saturated = fabric_empty;
+    for (const std::uint32_t id : touched_) {
+      Port& port = ports_[id];
+      port.remaining -= delta * port.sumw;
+      if (port.remaining < 0.0) port.remaining = 0.0;
+      port.synced = static_cast<std::uint32_t>(deltas_.size());
+      if (port.remaining <= port.saturated_below) {
+        saturated = true;
+        if (port.tx) tx_empty = true;
+      }
+    }
+
+    // Freeze flows that hit their cap (only caps within a few eps of the
+    // level can), then, if a resource saturated, the flows it blocks.
+    frozen_.clear();
+    const double cap_bound = level + 4.0 * kMaxMinEps * (1.0 + level);
+    for (std::size_t k = lowest_cap; k < by_cap_.size(); ++k) {
+      const std::uint32_t i = by_cap_[k];
+      const double cap = flows_[i].rate_cap;
+      if (cap > cap_bound) break;
+      if (live_[i] != 0 && level >= cap - kMaxMinEps * (1.0 + cap)) {
+        rates_[i] = cap;
+        frozen_by_cap_[i] = true;
+        live_[i] = 0;
+        frozen_.push_back(i);
+      }
+    }
+    if (saturated) {
+      std::size_t out = 0;
+      for (const std::uint32_t i : active_) {
+        if (live_[i] == 0) continue;
+        // A port not synced this round holds a value at or above its true
+        // one, which is above its threshold: only this round's can read empty.
+        const NetFlow& flow = flows_[i];
+        auto empty = [&](std::uint32_t id) {
+          return ports_[id].remaining <= ports_[id].saturated_below;
+        };
+        const bool blocked =
+            fabric_empty || empty(rx_port_[static_cast<std::size_t>(flow.dst)]) ||
+            (flow.src == kInvalidNode ? tx_empty : empty(point_port(flow.src).port));
+        if (blocked) {
+          rates_[i] = level;
+          live_[i] = 0;
+          frozen_.push_back(i);
+        } else {
+          active_[out++] = i;
+        }
+      }
+      active_.resize(out);
+    }
+    SMR_CHECK_MSG(!frozen_.empty() || delta == 0.0, "max_min_allocate failed to make progress");
+    if (frozen_.empty()) {
+      // Degenerate: all remaining flows blocked at zero headroom.
+      degenerate_ = true;
+      for (const std::uint32_t i : active_) {
+        if (live_[i] != 0) rates_[i] = level;
+      }
+      break;
+    }
+    live -= frozen_.size();
+
+    // The frozen flows' ports change weight.  Re-weighing an rx port once
+    // per frozen flow is exact: no round passes between the calls.  A tx
+    // fold waits until the diffuse list is compacted.
+    bool diffuse_froze = false;
+    point_dirty_.clear();
+    for (const std::uint32_t i : frozen_) {
+      const NetFlow& flow = flows_[i];
+      const auto dst = static_cast<std::size_t>(flow.dst);
+      reweigh(rx_port_[dst], static_cast<double>(--rx_live_[dst]), level, margin);
+      if (flow.src == kInvalidNode) {
+        diffuse_froze = true;
+      } else if (PointPort& point = point_port(flow.src); !point.dirty) {
+        point.dirty = true;
+        point_dirty_.push_back(
+            static_cast<std::uint32_t>(tx_slot_[static_cast<std::size_t>(flow.src)]));
+      }
+    }
+    if (diffuse_froze) {
+      std::erase_if(diffuse_, [&](std::uint32_t i) { return live_[i] == 0; });
+      for (const std::uint32_t id : groups_) {
+        if (ports_[id].sumw > 0.0) reweigh(id, diffuse_sum_[diffuse_.size()], level, margin);
+      }
+      for (std::uint32_t slot = 0; slot < point_ports_.size(); ++slot) {
+        PointPort& point = point_ports_[slot];
+        if (!point.dirty && ports_[point.port].sumw > 0.0) {
+          point.dirty = true;
+          point_dirty_.push_back(slot);
+        }
+      }
+    }
+    for (const std::uint32_t slot : point_dirty_) {
+      PointPort& point = point_ports_[slot];
+      point.dirty = false;
+      point.end = static_cast<std::uint32_t>(
+          std::remove_if(point_flows_.begin() + point.begin, point_flows_.begin() + point.end,
+                         [&](std::uint32_t i) { return live_[i] == 0; }) -
+          point_flows_.begin());
+      reweigh(point.port, fold(point, diffuse_weight), level, margin);
+    }
+    for (const std::uint32_t id : touched_) {
+      if (!ports_[id].queued && ports_[id].sumw > 0.0) requeue(id, level, margin);
+    }
+  }
 }
 
 }  // namespace smr::cluster

@@ -43,53 +43,123 @@ class NetworkModel {
   /// of concurrent TCP fetch streams terminating at node d (drives the
   /// incast penalty on d's receive port); pass an empty span to disable.
   ///
-  /// Stateless reference path ("oracle"); allocate_cached() below is
-  /// bit-identical and is what the runtime calls every tick.
+  /// Stateless reference path ("oracle"): build_problem() solved by the
+  /// generic max_min_allocate().  allocate_cached() below is bit-identical
+  /// and is what the runtime calls every tick.
   std::vector<double> allocate(std::span<const NetFlow> flows,
                                std::span<const int> fetch_streams_per_node) const;
 
-  /// Same result as allocate(), but through the instance's incremental
-  /// MaxMinSolver: unchanged flow sets are answered from the cache, and
-  /// shuffle ticks where only the (non-binding, backlog-tracking) rate caps
-  /// moved while the network stayed the bottleneck skip the water-filling
-  /// pass too.  A raw-input memo short-circuits even earlier: bit-equal
-  /// (flows, fetch_streams) skip the problem build entirely — the common
-  /// steady-shuffle tick, where every cap is pinned at the fetch cap.
+  /// Same result as allocate(), bit for bit, from the model's own
+  /// water-fill over the fixed port topology (rx ports, tx ports, one
+  /// fabric; see docs/PERF.md §8).  Its cache follows MaxMinSolver's rules
+  /// exactly: unchanged problems are answered from the cache, and shuffle
+  /// ticks where only non-binding (backlog-tracking) rate caps moved pass
+  /// cap_move_is_slack() and skip the water-fill too.  A raw-input memo
+  /// short-circuits even earlier: bit-equal (flows, fetch_streams) skip the
+  /// capacity build and the comparison — the common steady-shuffle tick,
+  /// where every cap is pinned at the fetch cap.
   /// NOT thread-safe; the returned reference is invalidated by the next
   /// call.
   const std::vector<double>& allocate_cached(std::span<const NetFlow> flows,
                                              std::span<const int> fetch_streams_per_node);
 
-  /// Solver counters with raw-input memo hits folded back in as calls +
-  /// cache hits (a memo hit is exactly a call the solver would have
-  /// answered from its own identical-inputs cache).
-  MaxMinSolver::Stats solver_stats() const {
-    MaxMinSolver::Stats stats = solver_.stats();
-    stats.calls += memo_hits_;
-    stats.cache_hits += memo_hits_;
-    return stats;
-  }
+  /// Counters of allocate_cached(), equal to those of a MaxMinSolver fed
+  /// build_problem() for every call with a non-empty flow list (a memo hit
+  /// counts as the cache hit that solver would have scored).
+  const MaxMinSolver::Stats& solver_stats() const { return stats_; }
 
- private:
-  /// Build the (capacities, demands) max-min problem into the given
-  /// buffers (shared by the oracle and cached paths so the arithmetic is
-  /// identical).
+  /// The generic max-min problem behind `flows`: capacities laid out as
+  /// [0, n) receive ports, [n, 2n) transmit ports, 2n fabric, and one demand
+  /// per flow.  Used by allocate() and by tests that cross-check the
+  /// topology-specific solver against MaxMinSolver.
   void build_problem(std::span<const NetFlow> flows,
                      std::span<const int> fetch_streams_per_node,
                      std::vector<double>& capacities,
                      std::vector<FlowDemand>& demands) const;
 
+ private:
+  /// A resource other than the fabric, updated lazily: `remaining` is exact
+  /// as of round `synced`, and the rounds since are replayed from the delta
+  /// log only when the water-fill needs the value (see waterfill()).
+  struct Port {
+    double remaining = 0.0;
+    double saturated_below = 0.0;
+    /// Weight sum of the live flows on it; constant since `synced`.
+    double sumw = 0.0;
+    std::uint32_t synced = 0;
+    /// Bumped whenever the port is re-queued or retired: older heap
+    /// entries are stale.
+    std::uint32_t version = 0;
+    bool queued = false;
+    bool tx = false;
+  };
+  /// A port is due once the level may reach `key` (a lower bound on the
+  /// level where its candidate could win or it could saturate).
+  struct Due {
+    double key = 0.0;
+    std::uint32_t port = 0;
+    std::uint32_t version = 0;
+    /// With std::greater the heap pops the soonest key first.
+    friend bool operator>(const Due& a, const Due& b) { return a.key > b.key; }
+  };
+  /// A tx port with an active point flow at the start of the solve.  Its
+  /// weight sum is the ordered fold of its live point flows (1.0 each) and
+  /// the live diffuse flows (1/n each).
+  struct PointPort {
+    std::uint32_t port = 0;
+    /// Live point flows, ascending: point_flows_[begin, end).
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    bool dirty = false;
+  };
+
+  void port_capacities(std::span<const int> fetch_streams_per_node,
+                       std::vector<double>& capacities) const;
+  void check_flows(std::span<const NetFlow> flows) const;
+  bool cache_usable(std::span<const NetFlow> flows, bool& caps_only) const;
+  void waterfill();
+  double fold(const PointPort& point, double diffuse_weight) const;
+  std::uint32_t add_port(double capacity, double sumw, bool tx);
+  void sync(Port& port) const;
+  void requeue(std::uint32_t id, double level, double margin);
+  void reweigh(std::uint32_t id, double sumw, double level, double margin);
+  PointPort& point_port(NodeId src) {
+    return point_ports_[static_cast<std::size_t>(tx_slot_[static_cast<std::size_t>(src)])];
+  }
+
   const ClusterSpec* spec_;
-  MaxMinSolver solver_;
-  std::vector<double> caps_scratch_;
-  std::vector<FlowDemand> demands_scratch_;
+  MaxMinSolver::Stats stats_;
   std::vector<double> empty_;
-  // Raw-input memo (see allocate_cached).
-  bool memo_valid_ = false;
-  std::vector<NetFlow> memo_flows_;
-  std::vector<int> memo_streams_;
-  std::vector<double> memo_rates_;
-  std::uint64_t memo_hits_ = 0;
+
+  // Cached problem (the last call's raw inputs) and its solution.
+  bool valid_ = false;
+  std::vector<NetFlow> flows_;
+  std::vector<int> streams_;
+  std::vector<double> capacities_;
+  std::vector<double> rates_;
+  std::vector<bool> frozen_by_cap_;
+  bool degenerate_ = false;
+
+  // Water-fill scratch, reused across solves.
+  std::vector<double> next_capacities_;
+  std::vector<double> deltas_;
+  std::vector<Port> ports_;
+  std::vector<Due> due_;
+  std::vector<std::uint32_t> touched_;
+  std::vector<std::uint32_t> active_;
+  std::vector<std::uint32_t> diffuse_;
+  std::vector<std::uint32_t> by_cap_;
+  std::vector<std::uint32_t> frozen_;
+  std::vector<unsigned char> live_;
+  std::vector<std::uint32_t> rx_live_;
+  std::vector<std::uint32_t> rx_port_;
+  std::vector<std::uint32_t> point_dirty_;
+  std::vector<int> tx_slot_;
+  std::vector<PointPort> point_ports_;
+  std::vector<std::uint32_t> point_flows_;
+  std::vector<double> group_capacities_;
+  std::vector<std::uint32_t> groups_;
+  std::vector<double> diffuse_sum_;
 };
 
 }  // namespace smr::cluster

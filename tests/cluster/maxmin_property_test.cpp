@@ -17,6 +17,7 @@
 #include <cmath>
 #include <vector>
 
+#include "smr/common/error.hpp"
 #include "smr/common/rng.hpp"
 
 namespace smr::cluster {
@@ -297,6 +298,18 @@ TEST(MaxMinSolverDifferential, InvalidateForcesResolve) {
   EXPECT_DOUBLE_EQ(rates[0], 30.0);
   EXPECT_EQ(solver.stats().full_solves, 2u);
   EXPECT_EQ(solver.stats().cache_hits, 0u);
+}
+
+TEST(MaxMinSolverDifferential, FailedSolveIsNotCached) {
+  MaxMinSolver solver;
+  std::vector<FlowDemand> flows(1);
+  flows[0].rate_cap = kNoCap;
+  flows[0].uses = {{0, 1.0}};
+  solver.solve(std::vector<double>{10.0}, flows);
+  const std::vector<double> negative{-1.0};
+  EXPECT_THROW(solver.solve(negative, flows), SmrError);
+  // The same bad input must throw again, not hit a half-written cache.
+  EXPECT_THROW(solver.solve(negative, flows), SmrError);
 }
 
 TEST(MaxMinSolverDifferential, EmptyProblemRoundTrips) {

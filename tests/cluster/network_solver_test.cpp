@@ -1,0 +1,334 @@
+// Differential suite for the network's topology-specific water-fill.
+//
+// NetworkModel::allocate_cached() must return exactly what the generic
+// oracle (NetworkModel::allocate(): build_problem() + max_min_allocate())
+// returns, bit for bit, and count its calls exactly as a MaxMinSolver fed
+// the same build_problem() output would.  Random mutation sequences cover
+// every cache path (raw-input memo, exact cache hit, cap-slack fast path,
+// full solve) across cluster sizes, flow mixes, cap kinds, incast stream
+// counts on both sides of the knee, and zero-capacity or heterogeneous
+// NICs.  The error paths must throw the oracle's SmrError.
+#include "smr/cluster/network_model.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "smr/common/error.hpp"
+#include "smr/common/rng.hpp"
+
+namespace smr::cluster {
+namespace {
+
+constexpr double kMiBf = static_cast<double>(kMiB);
+
+enum class Mix { kDiffuse, kPoint, kInterleaved };
+enum class Nics { kHomogeneous, kFewSpeeds, kAllDistinct, kSomeZero };
+
+std::int64_t pick(Rng& rng, std::size_t size) {
+  return rng.uniform_int(0, static_cast<std::int64_t>(size) - 1);
+}
+
+ClusterSpec random_spec(int n, Nics nics, Rng& rng) {
+  ClusterSpec spec = ClusterSpec::paper_testbed(n);
+  for (NodeSpec& node : spec.workers) {
+    switch (nics) {
+      case Nics::kHomogeneous:
+        break;
+      case Nics::kFewSpeeds: {
+        const double speeds[] = {58.5, 117.0, 234.0};
+        node.nic_bandwidth = speeds[pick(rng, 3)] * kMiBf;
+        break;
+      }
+      case Nics::kAllDistinct:
+        node.nic_bandwidth = rng.uniform(40.0, 250.0) * kMiBf;
+        break;
+      case Nics::kSomeZero:
+        if (rng.uniform() < 0.15) node.nic_bandwidth = 0.0;
+        break;
+    }
+  }
+  // Sometimes an oversubscribed fabric, so the fabric binds too.
+  if (rng.uniform() < 0.3) spec.network.fabric_bandwidth *= rng.uniform(0.05, 0.5);
+  return spec;
+}
+
+double random_cap(Rng& rng) {
+  const double which = rng.uniform();
+  if (which < 0.2) return kNoCap;
+  if (which < 0.3) return 0.0;
+  if (which < 0.65) return rng.uniform(1e9, 1e10);  // slack
+  return rng.uniform(1.0, 30.0) * kMiBf;            // binding
+}
+
+class NetDifferential {
+ public:
+  NetDifferential(int n, Mix mix, Nics nics, Rng& rng)
+      : rng_(&rng), n_(n), mix_(mix), spec_(random_spec(n, nics, rng)), model_(spec_) {
+    // A few "hot" senders carry several point flows each.
+    for (int k = 0; k < 3; ++k) {
+      hot_.push_back(static_cast<NodeId>(pick(rng, static_cast<std::size_t>(n))));
+    }
+    fresh_flows();
+    fresh_streams();
+  }
+
+  void check_once() {
+    const std::vector<double> expected = model_.allocate(flows_, streams_);
+    const std::vector<double>& actual = model_.allocate_cached(flows_, streams_);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(actual[i], expected[i]) << "flow " << i;
+      ASSERT_EQ(std::signbit(actual[i]), std::signbit(expected[i])) << "flow " << i;
+    }
+    last_rates_ = expected;
+    if (!flows_.empty()) {
+      model_.build_problem(flows_, streams_, capacities_, demands_);
+      mirror_.solve(capacities_, demands_);
+    }
+    const MaxMinSolver::Stats& got = model_.solver_stats();
+    const MaxMinSolver::Stats& want = mirror_.stats();
+    ASSERT_EQ(got.calls, want.calls);
+    ASSERT_EQ(got.cache_hits, want.cache_hits);
+    ASSERT_EQ(got.cap_fast_hits, want.cap_fast_hits);
+    ASSERT_EQ(got.full_solves, want.full_solves);
+  }
+
+  void mutate() {
+    const double which = rng_->uniform();
+    if (which < 0.2) return;  // exact repeat: the raw-input memo
+    if (which < 0.45 && !flows_.empty()) {
+      // Cap-only move, usually relative to the flow's current rate so the
+      // slack fast path gets exercised.
+      const auto f = static_cast<std::size_t>(pick(*rng_, flows_.size()));
+      const double kind = rng_->uniform();
+      const double rate = f < last_rates_.size() ? last_rates_[f] : 0.0;
+      if (kind < 0.5) {
+        flows_[f].rate_cap = rate * rng_->uniform(1.5, 3.0) + 1.0;
+      } else if (kind < 0.65) {
+        flows_[f].rate_cap = rate * rng_->uniform(0.2, 0.9);
+      } else {
+        flows_[f].rate_cap = random_cap(*rng_);
+      }
+      return;
+    }
+    if (which < 0.55 && !streams_.empty()) {
+      // Stream change below the knee: capacities stay bit-equal, so the
+      // memo misses but the cache hits.
+      streams_[static_cast<std::size_t>(pick(*rng_, streams_.size()))] =
+          static_cast<int>(rng_->uniform_int(0, spec_.network.incast_knee_streams));
+      return;
+    }
+    if (which < 0.65) {
+      fresh_streams();
+      return;
+    }
+    if (which < 0.8 && !flows_.empty()) {
+      NetFlow& flow = flows_[static_cast<std::size_t>(pick(*rng_, flows_.size()))];
+      if (rng_->uniform() < 0.5) {
+        flow.dst = static_cast<NodeId>(pick(*rng_, static_cast<std::size_t>(n_)));
+      } else {
+        flow.src = random_src();
+      }
+      return;
+    }
+    if (which < 0.9) {
+      if (!flows_.empty() && rng_->uniform() < 0.5) {
+        flows_.erase(flows_.begin() + pick(*rng_, flows_.size()));
+      } else {
+        flows_.insert(flows_.begin() + pick(*rng_, flows_.size() + 1), random_flow());
+      }
+      return;
+    }
+    fresh_flows();
+  }
+
+  const MaxMinSolver::Stats& stats() const { return model_.solver_stats(); }
+
+ private:
+  NodeId random_src() {
+    const bool diffuse =
+        mix_ == Mix::kDiffuse || (mix_ == Mix::kInterleaved && rng_->uniform() < 0.5);
+    if (diffuse) return kInvalidNode;
+    if (rng_->uniform() < 0.5) return hot_[static_cast<std::size_t>(pick(*rng_, hot_.size()))];
+    return static_cast<NodeId>(pick(*rng_, static_cast<std::size_t>(n_)));
+  }
+
+  NetFlow random_flow() {
+    NetFlow flow;
+    flow.dst = static_cast<NodeId>(pick(*rng_, static_cast<std::size_t>(n_)));
+    flow.src = random_src();
+    flow.rate_cap = random_cap(*rng_);
+    return flow;
+  }
+
+  void fresh_flows() {
+    const auto count = rng_->uniform_int(0, std::min<std::int64_t>(3 * n_ + 4, 48));
+    flows_.clear();
+    for (std::int64_t i = 0; i < count; ++i) flows_.push_back(random_flow());
+  }
+
+  void fresh_streams() {
+    streams_.clear();
+    if (rng_->uniform() < 0.2) return;  // incast disabled
+    const int knee = spec_.network.incast_knee_streams;
+    const int counts[] = {0, 3, knee, knee + 1, knee + 8, 60};
+    for (int d = 0; d < n_; ++d) streams_.push_back(counts[pick(*rng_, 6)]);
+  }
+
+  Rng* rng_;
+  int n_;
+  Mix mix_;
+  ClusterSpec spec_;
+  NetworkModel model_;
+  MaxMinSolver mirror_;
+  std::vector<NodeId> hot_;
+  std::vector<NetFlow> flows_;
+  std::vector<int> streams_;
+  std::vector<double> last_rates_;
+  std::vector<double> capacities_;
+  std::vector<FlowDemand> demands_;
+};
+
+TEST(NetworkSolverDifferential, RandomMutationSequencesMatchOracleBitwise) {
+  Rng rng(0x0e7ULL);
+  MaxMinSolver::Stats total;
+  int checks = 0;
+  for (const int n : {1, 2, 7, 64, 300}) {
+    // The oracle walks every diffuse flow's n tx uses each round, so the
+    // large clusters get fewer steps.
+    const int sequences = n >= 300 ? 2 : n >= 64 ? 3 : 6;
+    const int steps = n >= 300 ? 25 : 40;
+    for (const Mix mix : {Mix::kDiffuse, Mix::kPoint, Mix::kInterleaved}) {
+      for (const Nics nics :
+           {Nics::kHomogeneous, Nics::kFewSpeeds, Nics::kAllDistinct, Nics::kSomeZero}) {
+        for (int sequence = 0; sequence < sequences; ++sequence) {
+          NetDifferential diff(n, mix, nics, rng);
+          for (int step = 0; step < steps; ++step) {
+            SCOPED_TRACE("n " + std::to_string(n) + " mix " +
+                         std::to_string(static_cast<int>(mix)) + " nics " +
+                         std::to_string(static_cast<int>(nics)) + " sequence " +
+                         std::to_string(sequence) + " step " + std::to_string(step));
+            diff.check_once();
+            if (testing::Test::HasFatalFailure()) return;
+            ++checks;
+            diff.mutate();
+          }
+          const MaxMinSolver::Stats& stats = diff.stats();
+          EXPECT_EQ(stats.calls, stats.cache_hits + stats.cap_fast_hits + stats.full_solves);
+          total.cache_hits += stats.cache_hits;
+          total.cap_fast_hits += stats.cap_fast_hits;
+          total.full_solves += stats.full_solves;
+        }
+      }
+    }
+  }
+  EXPECT_GE(checks, 5000);
+  // Every cache path was taken somewhere in the suite.
+  EXPECT_GT(total.cache_hits, 0u);
+  EXPECT_GT(total.cap_fast_hits, 0u);
+  EXPECT_GT(total.full_solves, 0u);
+}
+
+// A steady shuffle tick: every diffuse flow is held by its receive port,
+// the caps track backlogs far above the granted rate.  Moving them must
+// take the fast path and return the oracle's rates.
+TEST(NetworkSolverDifferential, SlackCapMoveHitsFastPath) {
+  const ClusterSpec spec = ClusterSpec::paper_testbed(8);
+  NetworkModel net(spec);
+  std::vector<NetFlow> flows;
+  for (int d = 0; d < 8; ++d) {
+    flows.push_back({d, kInvalidNode, 1e10});
+    flows.push_back({d, (d + 3) % 8, 1e10});
+  }
+  net.allocate_cached(flows, {});
+  for (NetFlow& flow : flows) flow.rate_cap = 2e10;
+  const std::vector<double> rates = net.allocate_cached(flows, {});
+  EXPECT_EQ(net.solver_stats().cap_fast_hits, 1u);
+  EXPECT_EQ(net.solver_stats().full_solves, 1u);
+  EXPECT_EQ(rates, net.allocate(flows, {}));
+  // A binding cap forces a full solve.
+  flows[0].rate_cap = 1.0;
+  EXPECT_EQ(net.allocate_cached(flows, {}), net.allocate(flows, {}));
+  EXPECT_EQ(net.solver_stats().full_solves, 2u);
+}
+
+// Stream counts that leave every receive capacity bit-equal miss the raw
+// memo but hit the cache; crossing the knee re-solves.
+TEST(NetworkSolverDifferential, StreamChangeBelowKneeHitsCache) {
+  const ClusterSpec spec = ClusterSpec::paper_testbed(4);
+  NetworkModel net(spec);
+  const std::vector<NetFlow> flows{{0, kInvalidNode, kNoCap}, {1, 2, kNoCap}};
+  std::vector<int> streams{1, 0, 0, 0};
+  net.allocate_cached(flows, streams);
+  streams[0] = spec.network.incast_knee_streams;
+  net.allocate_cached(flows, streams);
+  EXPECT_EQ(net.solver_stats().cache_hits, 1u);
+  EXPECT_EQ(net.solver_stats().full_solves, 1u);
+  streams[0] = spec.network.incast_knee_streams + 1;
+  EXPECT_EQ(net.allocate_cached(flows, streams), net.allocate(flows, streams));
+  EXPECT_EQ(net.solver_stats().full_solves, 2u);
+}
+
+// With one node a diffuse flow and a point flow from node 0 are the same
+// problem, so swapping one for the other is a cache hit.
+TEST(NetworkSolverDifferential, OneNodeDiffuseEqualsPointFromNodeZero) {
+  const ClusterSpec spec = ClusterSpec::paper_testbed(1);
+  NetworkModel net(spec);
+  std::vector<NetFlow> flows{{0, kInvalidNode, kNoCap}, {0, 0, 5.0 * kMiBf}};
+  const std::vector<double> first = net.allocate_cached(flows, {});
+  flows[0].src = 0;
+  EXPECT_EQ(net.allocate_cached(flows, {}), first);
+  EXPECT_EQ(net.solver_stats().cache_hits, 1u);
+  EXPECT_EQ(first, net.allocate(flows, {}));
+}
+
+// The part of an SmrError message after the source location.
+std::string check_message(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const SmrError& error) {
+    const std::string what = error.what();
+    return what.substr(what.find(" — ") == std::string::npos ? 0 : what.find(" — "));
+  }
+  return "no SmrError";
+}
+
+TEST(NetworkModel, InvalidSrcThrows) {
+  const ClusterSpec spec = ClusterSpec::paper_testbed(4);
+  NetworkModel net(spec);
+  const std::vector<NetFlow> flows{{0, kInvalidNode, kNoCap}, {1, 4, kNoCap}};
+  EXPECT_THROW(net.allocate(flows, {}), SmrError);
+  EXPECT_THROW(net.allocate_cached(flows, {}), SmrError);
+  const std::string oracle = check_message([&] { net.allocate(flows, {}); });
+  EXPECT_EQ(oracle, " — flow with invalid src 4");
+  EXPECT_EQ(check_message([&] { net.allocate_cached(flows, {}); }), oracle);
+}
+
+TEST(NetworkModel, InvalidDstThrowsOnCachedPath) {
+  const ClusterSpec spec = ClusterSpec::paper_testbed(4);
+  NetworkModel net(spec);
+  const std::vector<NetFlow> flows{{-1, 2, kNoCap}};
+  const std::string oracle = check_message([&] { net.allocate(flows, {}); });
+  EXPECT_EQ(oracle, " — flow with invalid dst -1");
+  EXPECT_EQ(check_message([&] { net.allocate_cached(flows, {}); }), oracle);
+}
+
+TEST(NetworkModel, NegativeCapacityThrowsLikeOracle) {
+  ClusterSpec spec = ClusterSpec::paper_testbed(4);
+  spec.workers[2].nic_bandwidth = -1.0;  // rx port 2 and tx port 6
+  NetworkModel net(spec);
+  const std::vector<NetFlow> flows{{0, 1, kNoCap}};
+  const std::string oracle = check_message([&] { net.allocate(flows, {}); });
+  EXPECT_EQ(oracle, " — negative capacity for resource 2");
+  EXPECT_EQ(check_message([&] { net.allocate_cached(flows, {}); }), oracle);
+  // A failed solve leaves nothing cached: the same call throws again.
+  EXPECT_EQ(check_message([&] { net.allocate_cached(flows, {}); }), oracle);
+}
+
+}  // namespace
+}  // namespace smr::cluster
