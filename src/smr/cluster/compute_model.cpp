@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 
 #include "smr/common/error.hpp"
 
@@ -12,6 +13,7 @@ namespace {
 // Foreground work never fully starves even under extreme background load.
 constexpr double kMinCpuRemnant = 0.05;                                   // cores
 constexpr double kMinDiskRemnant = 1.0 * static_cast<double>(kMiB);       // bytes/s
+constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 double ComputeModel::thread_efficiency(const NodeSpec& node, int threads) {
@@ -47,10 +49,8 @@ double ComputeModel::effective_disk(const NodeSpec& node, const Occupancy& occ) 
          paging_factor(node, occ.memory_demand);
 }
 
-void ComputeModel::load_to_flow(const NodeSpec& node, const PhaseLoad& load,
-                                FlowDemand& flow) {
-  enum : int { kCpu = 0, kDisk = 1 };
-  flow.uses.clear();
+ComputeModel::Flow ComputeModel::to_flow(const NodeSpec& node, const PhaseLoad& load) {
+  Flow flow;
   // A single thread can use at most `max_cores` cores; that caps the rate
   // of CPU-bearing phases regardless of idle capacity elsewhere.
   double cap = load.rate_cap;
@@ -58,14 +58,13 @@ void ComputeModel::load_to_flow(const NodeSpec& node, const PhaseLoad& load,
     const double single_thread =
         load.max_cores * node.cpu_speed / load.cpu_per_byte;
     cap = (cap == kNoCap) ? single_thread : std::min(cap, single_thread);
-    flow.uses.push_back({kCpu, load.cpu_per_byte});
+    flow.cpu_w = load.cpu_per_byte;
   }
-  if (load.disk_per_byte > 0.0) {
-    flow.uses.push_back({kDisk, load.disk_per_byte});
-  }
-  SMR_CHECK_MSG(cap != kNoCap || !flow.uses.empty(),
+  if (load.disk_per_byte > 0.0) flow.disk_w = load.disk_per_byte;
+  SMR_CHECK_MSG(cap != kNoCap || flow.cpu_w > 0.0 || flow.disk_w > 0.0,
                 "phase with no resource use and no cap would be unbounded");
-  flow.rate_cap = cap;
+  flow.cap = cap;
+  return flow;
 }
 
 std::array<double, 2> ComputeModel::capacities_for(const NodeSpec& node,
@@ -75,68 +74,182 @@ std::array<double, 2> ComputeModel::capacities_for(const NodeSpec& node,
           std::max(kMinDiskRemnant, effective_disk(node, occ) - background.disk_rate)};
 }
 
+void ComputeModel::build_problem(const NodeSpec& node, const Occupancy& occ,
+                                 const BackgroundLoad& background,
+                                 std::span<const PhaseLoad> loads,
+                                 std::array<double, 2>& capacities,
+                                 std::vector<FlowDemand>& demands) {
+  enum : int { kCpu = 0, kDisk = 1 };
+  capacities = capacities_for(node, occ, background);
+  demands.resize(loads.size());
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    const Flow flow = to_flow(node, loads[i]);
+    FlowDemand& demand = demands[i];
+    demand.rate_cap = flow.cap;
+    demand.uses.clear();
+    if (flow.cpu_w > 0.0) demand.uses.push_back({kCpu, flow.cpu_w});
+    if (flow.disk_w > 0.0) demand.uses.push_back({kDisk, flow.disk_w});
+  }
+}
+
 std::vector<double> ComputeModel::solve(const NodeSpec& node, const Occupancy& occ,
                                         const BackgroundLoad& background,
                                         std::span<const PhaseLoad> loads) {
   if (loads.empty()) return {};
-
-  const std::array<double, 2> capacities = capacities_for(node, occ, background);
-  std::vector<FlowDemand> flows(loads.size());
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    load_to_flow(node, loads[i], flows[i]);
-  }
-  return max_min_allocate(capacities, flows);
+  std::array<double, 2> capacities;
+  std::vector<FlowDemand> demands;
+  build_problem(node, occ, background, loads, capacities, demands);
+  return max_min_allocate(capacities, demands);
 }
-
-namespace {
-
-bool same_load(const PhaseLoad& a, const PhaseLoad& b) {
-  return a.cpu_per_byte == b.cpu_per_byte && a.disk_per_byte == b.disk_per_byte &&
-         a.rate_cap == b.rate_cap && a.max_cores == b.max_cores;
-}
-
-}  // namespace
 
 const std::vector<double>& ComputeModel::solve_cached(
     const NodeSpec& node, const Occupancy& occ, const BackgroundLoad& background,
     std::span<const PhaseLoad> loads) {
   if (loads.empty()) return empty_;
 
-  // Raw-input memo: the capacities and flows are pure functions of
-  // (node, occ, background, loads), and the node spec is fixed per
-  // instance, so bit-equal raw inputs are guaranteed to reproduce the
-  // previous result without the load -> flow conversion or the solver's
-  // own cache comparison.
-  if (memo_valid_ && occ.threads == memo_occ_.threads &&
-      occ.io_streams == memo_occ_.io_streams &&
-      occ.memory_demand == memo_occ_.memory_demand &&
-      background.cpu_cores == memo_background_.cpu_cores &&
-      background.disk_rate == memo_background_.disk_rate &&
-      loads.size() == memo_loads_.size() &&
-      std::equal(loads.begin(), loads.end(), memo_loads_.begin(), same_load)) {
-    ++memo_hits_;
-    return memo_rates_;
+  const std::array<double, 2> capacities = capacities_for(node, occ, background);
+  const std::size_t nf = loads.size();
+  next_cpu_w_.resize(nf);
+  next_disk_w_.resize(nf);
+  next_cap_.resize(nf);
+  for (std::size_t i = 0; i < nf; ++i) {
+    const Flow flow = to_flow(node, loads[i]);
+    next_cpu_w_[i] = flow.cpu_w;
+    next_disk_w_[i] = flow.disk_w;
+    next_cap_[i] = flow.cap;
   }
 
-  const std::array<double, 2> capacities = capacities_for(node, occ, background);
-  flows_scratch_.resize(loads.size());
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    load_to_flow(node, loads[i], flows_scratch_[i]);
+  ++stats_.calls;
+  bool caps_only = false;
+  const bool reuse = cache_usable(capacities, caps_only);
+  // The cached problem becomes this call's, whichever path answers it.
+  cpu_w_.swap(next_cpu_w_);
+  disk_w_.swap(next_disk_w_);
+  cap_.swap(next_cap_);
+  if (reuse) {
+    ++(caps_only ? stats_.cap_fast_hits : stats_.cache_hits);
+    return rates_;
   }
-  const std::vector<double>& rates = solver_.solve(capacities, flows_scratch_);
-  memo_occ_ = occ;
-  memo_background_ = background;
-  memo_loads_.assign(loads.begin(), loads.end());
-  memo_rates_ = rates;
-  memo_valid_ = true;
-  return memo_rates_;
+
+  ++stats_.full_solves;
+  capacities_ = capacities;
+  valid_ = false;  // a throwing solve must not leave a half-written cache
+  waterfill();
+  valid_ = true;
+  return rates_;
 }
 
-MaxMinSolver::Stats ComputeModel::solver_stats() const {
-  MaxMinSolver::Stats stats = solver_.stats();
-  stats.calls += memo_hits_;
-  stats.cache_hits += memo_hits_;
-  return stats;
+// MaxMinSolver's cache rule on the derived problem: equal capacities, equal
+// resource uses and every moved cap slack.  A used resource always weighs
+// > 0 and an unused one 0.0, so equal uses are exactly equal weights.
+bool ComputeModel::cache_usable(const std::array<double, 2>& capacities,
+                                bool& caps_only) const {
+  caps_only = false;
+  if (!valid_ || next_cap_.size() != cap_.size() || capacities != capacities_) return false;
+  for (std::size_t i = 0; i < cap_.size(); ++i) {
+    if (next_cpu_w_[i] != cpu_w_[i] || next_disk_w_[i] != disk_w_[i]) return false;
+    const double cap = next_cap_[i];
+    if (cap == cap_[i]) continue;
+    // A rate cap moved.  The degenerate all-blocked ending gives no
+    // guarantee about the delta sequence, so it disables this path.
+    if (degenerate_ || !cap_move_is_slack(cap, rates_[i], frozen_by_cap_[i] != 0)) {
+      return false;
+    }
+    caps_only = true;
+  }
+  return true;
+}
+
+// Progressive filling with max_min_allocate()'s exact arithmetic, on the
+// node's shape (the argument is docs/PERF.md §9):
+//   * every active flow gains the same delta each round from 0, so all
+//     share one `level`; a flow's rate is written once, when it freezes;
+//   * the weight sums fold every active flow in ascending order, an unused
+//     resource adding 0.0, which leaves a sum bit-unchanged;
+//   * the cap candidate is fl(min cap - level): fl(cap - level) is monotone
+//     in cap, and no candidate is NaN or -0.0, so the order in which the
+//     minimum is taken cannot change it.
+void ComputeModel::waterfill() {
+  const std::size_t nf = cap_.size();
+  rates_.assign(nf, 0.0);
+  frozen_by_cap_.assign(nf, 0);
+  degenerate_ = false;
+
+  double cpu = capacities_[0];
+  double disk = capacities_[1];
+  SMR_CHECK_MSG(cpu >= 0.0, "negative capacity for resource " << 0);
+  SMR_CHECK_MSG(disk >= 0.0, "negative capacity for resource " << 1);
+  // Saturation is relative to the resource's scale, as in the oracle.
+  const double cpu_saturated = kMaxMinEps * (cpu + 1.0);
+  const double disk_saturated = kMaxMinEps * (disk + 1.0);
+  bool cpu_empty = cpu <= cpu_saturated;
+  bool disk_empty = disk <= disk_saturated;
+  auto blocked = [&](std::uint32_t i) {
+    return (cpu_w_[i] > 0.0 && cpu_empty) || (disk_w_[i] > 0.0 && disk_empty);
+  };
+
+  // A flow with a zero cap, or touching an empty resource, never moves.
+  active_.clear();
+  for (std::uint32_t i = 0; i < nf; ++i) {
+    const double cap = cap_[i];
+    const bool dead = cap != kNoCap && cap <= 0.0;
+    if (dead) frozen_by_cap_[i] = 1;
+    if (!dead && !blocked(i)) active_.push_back(i);
+  }
+
+  double level = 0.0;
+  while (!active_.empty()) {
+    double cpu_sumw = 0.0;
+    double disk_sumw = 0.0;
+    double lowest_cap = kInf;
+    for (const std::uint32_t i : active_) {
+      cpu_sumw += cpu_w_[i];
+      disk_sumw += disk_w_[i];
+      // std::min keeps its first argument against a NaN cap, which never
+      // wins a round in the oracle either.
+      if (cap_[i] != kNoCap) lowest_cap = std::min(lowest_cap, cap_[i]);
+    }
+    double delta = lowest_cap - level;  // kInf when no live cap
+    if (cpu_sumw > 0.0) delta = std::min(delta, cpu / cpu_sumw);
+    if (disk_sumw > 0.0) delta = std::min(delta, disk / disk_sumw);
+    SMR_CHECK_MSG(std::isfinite(delta),
+                  "max_min_allocate: unbounded flow (no cap and no finite resource)");
+    delta = std::max(delta, 0.0);
+    level += delta;
+
+    cpu -= delta * cpu_sumw;
+    if (cpu < 0.0) cpu = 0.0;  // numerical guard
+    disk -= delta * disk_sumw;
+    if (disk < 0.0) disk = 0.0;
+    cpu_empty = cpu <= cpu_saturated;
+    disk_empty = disk <= disk_saturated;
+
+    // Freeze flows that hit their cap or a saturated resource; stable
+    // in-place compaction keeps `active_` ascending.
+    const std::size_t before = active_.size();
+    std::size_t out = 0;
+    for (const std::uint32_t i : active_) {
+      const double cap = cap_[i];
+      if (cap != kNoCap && level >= cap - kMaxMinEps * (1.0 + cap)) {
+        rates_[i] = cap;
+        frozen_by_cap_[i] = 1;
+      } else if (blocked(i)) {
+        rates_[i] = level;
+      } else {
+        active_[out++] = i;
+      }
+    }
+    SMR_CHECK_MSG(out < before || delta == 0.0,
+                  "max_min_allocate failed to make progress");
+    if (out == before && delta == 0.0) {
+      // Degenerate: all remaining flows blocked at zero headroom.
+      degenerate_ = true;
+      for (const std::uint32_t i : active_) rates_[i] = level;
+      active_.clear();
+    } else {
+      active_.resize(out);
+    }
+  }
 }
 
 }  // namespace smr::cluster

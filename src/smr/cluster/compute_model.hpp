@@ -82,58 +82,83 @@ class ComputeModel {
   /// `background` is subtracted from capacity first (floored at a small
   /// positive remnant so foreground work always creeps forward).
   ///
-  /// Stateless reference path ("oracle"); the stateful solve_cached() below
-  /// is bit-identical and is what the runtime calls every tick.
+  /// Stateless reference path ("oracle"): build_problem() solved by the
+  /// generic max_min_allocate().  The stateful solve_cached() below is
+  /// bit-identical and is what the runtime calls every tick.
   static std::vector<double> solve(const NodeSpec& node, const Occupancy& occ,
                                    const BackgroundLoad& background,
                                    std::span<const PhaseLoad> loads);
 
-  /// Same result as solve(), but via a per-instance incremental MaxMinSolver:
-  /// when a node's occupancy and loads are unchanged between ticks (the
-  /// common steady-execution case) the water-filling pass is skipped
-  /// entirely.  A raw-input memo short-circuits even earlier: if occupancy,
-  /// background and every PhaseLoad compare bit-equal to the previous call,
-  /// the cached rates are returned without converting loads to flows at all
-  /// (identical raw inputs provably produce identical capacities and flows,
-  /// hence the identical cached result).  Assumes the same NodeSpec on
-  /// every call, which holds for the runtime's one-model-per-node layout.
-  /// Keep one instance per simulated node; NOT thread-safe.  The returned
-  /// reference is invalidated by the next call.
+  /// The generic max-min problem behind `loads`: capacities [CPU, disk] and
+  /// one demand per load.  Used by solve() and by tests that cross-check the
+  /// node's own water-fill against MaxMinSolver.
+  static void build_problem(const NodeSpec& node, const Occupancy& occ,
+                            const BackgroundLoad& background,
+                            std::span<const PhaseLoad> loads,
+                            std::array<double, 2>& capacities,
+                            std::vector<FlowDemand>& demands);
+
+  /// Same result as solve(), bit for bit, from the model's own water-fill
+  /// over the shape every node problem has: two resources and, per load, a
+  /// CPU weight, a disk weight and a cap (see docs/PERF.md §9).  Its cache
+  /// follows MaxMinSolver's rules exactly: an unchanged problem is answered
+  /// from the cache, and one where only non-binding caps moved passes
+  /// cap_move_is_slack() and skips the water-fill too.  Keep one instance
+  /// per simulated node (the node spec must not change between calls); NOT
+  /// thread-safe.  The returned reference is invalidated by the next call.
   const std::vector<double>& solve_cached(const NodeSpec& node, const Occupancy& occ,
                                           const BackgroundLoad& background,
                                           std::span<const PhaseLoad> loads);
 
-  /// Solver counters with raw-input memo hits folded back in as calls +
-  /// cache hits, so the totals match what the pre-memo path reported (a
-  /// memo hit is exactly a call the solver would have answered from its
-  /// own identical-inputs cache).
-  MaxMinSolver::Stats solver_stats() const;
+  /// Counters of solve_cached(), equal to those of a MaxMinSolver fed
+  /// build_problem() for every call with a non-empty load list.
+  const MaxMinSolver::Stats& solver_stats() const { return stats_; }
 
-  /// Count an externally short-circuited call as a memo hit: the caller
-  /// proved the raw inputs unchanged (e.g. the runtime's quiescent-node
-  /// tick path) without materialising them, so the stats must read as if
-  /// solve_cached had been called and hit.
-  void count_memo_hit() { ++memo_hits_; }
+  /// Count a call the caller answered itself from unchanged inputs (the
+  /// runtime's quiescent-node tick path) as the cache hit solve_cached()
+  /// would have scored, so the stats read as if it had been called.
+  void count_memo_hit() {
+    ++stats_.calls;
+    ++stats_.cache_hits;
+  }
 
  private:
-  /// Translate one sub-phase load into a max-min flow (shared by the oracle
-  /// and cached paths so the arithmetic is identical).
-  static void load_to_flow(const NodeSpec& node, const PhaseLoad& load,
-                           FlowDemand& flow);
+  /// One load as the water-fill sees it: its weight on CPU and on disk
+  /// (0.0 for an unused resource; a used one always weighs > 0) and its cap.
+  struct Flow {
+    double cpu_w = 0.0;
+    double disk_w = 0.0;
+    double cap = kNoCap;
+  };
+
+  /// The one translation of a load into a flow, shared by the oracle and the
+  /// cached path so the arithmetic (and the error) is identical.
+  static Flow to_flow(const NodeSpec& node, const PhaseLoad& load);
   static std::array<double, 2> capacities_for(const NodeSpec& node,
                                               const Occupancy& occ,
                                               const BackgroundLoad& background);
+  bool cache_usable(const std::array<double, 2>& capacities, bool& caps_only) const;
+  void waterfill();
 
-  MaxMinSolver solver_;
-  std::vector<FlowDemand> flows_scratch_;
+  MaxMinSolver::Stats stats_;
   std::vector<double> empty_;
-  // Raw-input memo (see solve_cached).
-  bool memo_valid_ = false;
-  Occupancy memo_occ_;
-  BackgroundLoad memo_background_;
-  std::vector<PhaseLoad> memo_loads_;
-  std::vector<double> memo_rates_;
-  std::uint64_t memo_hits_ = 0;
+
+  // Cached problem (structure of arrays, one entry per flow) and solution.
+  bool valid_ = false;
+  std::array<double, 2> capacities_{};
+  std::vector<double> cpu_w_;
+  std::vector<double> disk_w_;
+  std::vector<double> cap_;
+  std::vector<double> rates_;
+  std::vector<unsigned char> frozen_by_cap_;
+  bool degenerate_ = false;
+
+  // This call's flows, swapped into the cached problem once compared, and
+  // the water-fill's active list; both reused across calls.
+  std::vector<double> next_cpu_w_;
+  std::vector<double> next_disk_w_;
+  std::vector<double> next_cap_;
+  std::vector<std::uint32_t> active_;
 };
 
 }  // namespace smr::cluster

@@ -6,14 +6,16 @@
 // raises all uncapped, unfrozen flow rates at the same pace; whenever a
 // resource saturates, every flow using it freezes at the current level.
 // This is the standard fluid model for fair CPU scheduling and disk
-// sharing, and it serves the per-node compute solves.  The cluster-wide
-// network has a fixed port topology and its own bit-identical water-fill
-// (cluster::NetworkModel); there max_min_allocate() is the oracle.
+// sharing.  Production code solves its two recurring problems with their
+// own bit-identical water-fills over their fixed shapes: the per-node
+// compute model (cluster::ComputeModel, two resources) and the
+// cluster-wide network (cluster::NetworkModel, a port topology).  For both,
+// max_min_allocate() is the oracle and MaxMinSolver the counter reference.
 //
 // Two entry points:
 //   * max_min_allocate() — the reference ("oracle") implementation.  Kept
-//     deliberately simple; the property suite and the incremental solver
-//     are both validated against it.
+//     deliberately simple; the property suite and the incremental solvers
+//     are all validated against it.
 //   * MaxMinSolver — a stateful solver for callers that re-solve the same
 //     (slowly changing) problem every simulation tick.  It caches the last
 //     solution and skips the water-filling pass entirely when the inputs
@@ -75,8 +77,10 @@ inline bool cap_move_is_slack(double new_cap, double rate, bool frozen_by_cap) {
 std::vector<double> max_min_allocate(std::span<const double> capacities,
                                      std::span<const FlowDemand> flows);
 
-/// Stateful incremental re-solver.  One instance per recurring problem
-/// (e.g. one per simulated node, one per network model); NOT thread-safe.
+/// Stateful incremental re-solver.  One instance per recurring problem;
+/// NOT thread-safe.  Its Stats are the counters every solver reports, and
+/// the differential suites use it as the reference those counters must
+/// match.
 class MaxMinSolver {
  public:
   struct Stats {

@@ -3,7 +3,8 @@
 namespace smr::cluster {
 
 ClusterSpec ClusterSpec::paper_testbed(int worker_nodes) {
-  SMR_CHECK(worker_nodes >= 1);
+  SMR_CHECK_MSG(worker_nodes >= 1,
+                "a cluster needs at least one worker node, got " << worker_nodes);
   ClusterSpec spec;
   spec.workers.assign(static_cast<std::size_t>(worker_nodes), NodeSpec{});
   spec.network.fabric_bandwidth =

@@ -103,6 +103,11 @@ std::string policy_label(const ExperimentConfig& config) {
   return make_policy(config)->name();
 }
 
+void ExperimentConfig::validate() const {
+  SMR_CHECK_MSG(trials >= 1, "trials must be at least 1");
+  runtime.validate();
+}
+
 metrics::RunResult run_trial(const ExperimentConfig& config,
                              const std::vector<JobSubmission>& jobs,
                              std::uint64_t seed, ThreadPool* pool) {

@@ -64,6 +64,9 @@ struct ExperimentConfig {
   /// Trials to average (the paper reports the average of two).
   int trials = 2;
 
+  /// Throws SmrError on a bad trial count or runtime configuration.
+  void validate() const;
+
   /// The paper's standard single-job setup: `engine` on the 16-node
   /// testbed with 3 map + 2 reduce initial slots.
   static ExperimentConfig paper_default(EngineKind engine);

@@ -28,6 +28,7 @@ std::optional<SweepDimension> sweep_dimension_from_name(const std::string& name)
 
 void SweepConfig::validate() const {
   spec.validate();
+  base.validate();
   SMR_CHECK_MSG(!values.empty(), "sweep needs at least one value");
   SMR_CHECK_MSG(!engines.empty() || !policies.empty(),
                 "sweep needs at least one engine or policy");

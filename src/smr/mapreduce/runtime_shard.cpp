@@ -23,7 +23,7 @@
 //     any shard count.
 //   * Completions, settles and doomed attempts are merged and sorted by
 //     task id before the serial application loop.
-//   * The per-node solver instances and their memo caches are owned by the
+//   * The per-node solver instances and their caches are owned by the
 //     node's shard, so solver call/hit counters are identical too.
 // None of this depends on the pool size: a 1-thread (inline) pool runs the
 // shards serially in shard order with the same merge, so any thread count
@@ -341,7 +341,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
     bg.disk_rate += t.net_rates[s.flow_base + f] * spec.shuffle_disk_factor;
   }
 
-  // 5. Per-node compute solve over owned nodes (the node models, their memo
+  // 5. Per-node compute solve over owned nodes (the node models, their
   // caches and the per-node quiescence state are all owned by this shard).
   // The (task, rate) pairs come out in node order, which keeps the
   // floating-point accumulation below bit-for-bit reproducible.

@@ -192,7 +192,11 @@ int main(int argc, char** argv) {
   serve::ServeConfig config;
   config.experiment = driver::ExperimentConfig::paper_default(*engine);
   const int nodes = static_cast<int>(flags.get_int("nodes"));
-  config.experiment.runtime.cluster = cluster::ClusterSpec::paper_testbed(nodes);
+  try {
+    config.experiment.runtime.cluster = cluster::ClusterSpec::paper_testbed(nodes);
+  } catch (const SmrError& e) {
+    return fail(e.what());
+  }
   config.experiment.runtime.initial_map_slots =
       static_cast<int>(flags.get_int("map-slots"));
   config.experiment.runtime.initial_reduce_slots =

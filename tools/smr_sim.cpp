@@ -204,10 +204,14 @@ int main(int argc, char** argv) {
     }
   }
   const int nodes = static_cast<int>(flags.get_int("nodes"));
-  config.runtime.cluster = flags.get_bool("heterogeneous")
-                               ? cluster::ClusterSpec::heterogeneous(
-                                     (nodes + 1) / 2, nodes / 2, 0.5)
-                               : cluster::ClusterSpec::paper_testbed(nodes);
+  try {
+    config.runtime.cluster = flags.get_bool("heterogeneous")
+                                 ? cluster::ClusterSpec::heterogeneous(
+                                       (nodes + 1) / 2, nodes / 2, 0.5)
+                                 : cluster::ClusterSpec::paper_testbed(nodes);
+  } catch (const SmrError& e) {
+    return fail(e.what());
+  }
   config.runtime.initial_map_slots = static_cast<int>(flags.get_int("map-slots"));
   config.runtime.initial_reduce_slots = static_cast<int>(flags.get_int("reduce-slots"));
   config.runtime.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
@@ -254,8 +258,12 @@ int main(int argc, char** argv) {
   } else {
     const auto bench = workload::puma_from_name(flags.get_string("benchmark"));
     if (!bench) return fail("unknown benchmark '" + flags.get_string("benchmark") + "'");
-    auto spec = workload::make_puma_job(*bench,
-                                        flags.get_int("input-gib") * kGiB);
+    mapreduce::JobSpec spec;
+    try {
+      spec = workload::make_puma_job(*bench, flags.get_int("input-gib") * kGiB);
+    } catch (const SmrError& e) {
+      return fail(e.what());
+    }
     spec.reduce_tasks = reduce_tasks;
     const auto count = flags.get_int("jobs");
     for (std::int64_t i = 0; i < count; ++i) {
@@ -266,7 +274,7 @@ int main(int argc, char** argv) {
   // Surface config mistakes (bad failure specs, out-of-range rates) as a
   // usage error instead of an uncaught SmrError mid-run.
   try {
-    config.runtime.validate();
+    config.validate();
   } catch (const SmrError& e) {
     return fail(e.what());
   }

@@ -85,7 +85,11 @@ int main(int argc, char** argv) {
 
   const auto bench = workload::puma_from_name(flags.get_string("benchmark"));
   if (!bench) return fail("unknown benchmark '" + flags.get_string("benchmark") + "'");
-  config.spec = workload::make_puma_job(*bench, flags.get_int("input-gib") * kGiB);
+  try {
+    config.spec = workload::make_puma_job(*bench, flags.get_int("input-gib") * kGiB);
+  } catch (const SmrError& e) {
+    return fail(e.what());
+  }
 
   config.base = driver::ExperimentConfig::paper_default(driver::EngineKind::kHadoopV1);
   config.base.trials = static_cast<int>(flags.get_int("trials"));
