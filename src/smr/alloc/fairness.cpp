@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "smr/common/error.hpp"
+#include "smr/common/text_out.hpp"
 
 namespace smr::alloc {
 
@@ -106,19 +107,10 @@ FairnessReport FairnessTracker::report() const {
 
 namespace {
 
-void quote(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
-void write_report_body(const FairnessReport& report, std::ostream& out,
+void write_report_body(const FairnessReport& report, TextOut& out,
                        int max_trajectory_points) {
   out << "{\"policy\":";
-  quote(out, report.policy);
+  out.json_string(report.policy);
   out << ",\"duration\":" << report.duration
       << ",\"capacity_slot_seconds\":" << report.capacity_slot_seconds
       << ",\"jain\":" << report.jain << ",\"max_envy\":" << report.max_envy
@@ -128,7 +120,7 @@ void write_report_body(const FairnessReport& report, std::ostream& out,
     const TenantFairness& t = report.tenants[i];
     if (i != 0) out << ',';
     out << "{\"tenant\":";
-    quote(out, t.tenant);
+    out.json_string(t.tenant);
     out << ",\"used_slot_seconds\":" << t.used_slot_seconds
         << ",\"demand_slot_seconds\":" << t.demand_slot_seconds
         << ",\"entitlement_slot_seconds\":" << t.entitlement_slot_seconds
@@ -142,7 +134,7 @@ void write_report_body(const FairnessReport& report, std::ostream& out,
   for (const auto& [tenant, series] : report.credit_series) {
     if (!first_series) out << ',';
     first_series = false;
-    quote(out, tenant);
+    out.json_string(tenant);
     out << ":[";
     // Thin long trajectories by a deterministic index stride, always
     // keeping the final point.
@@ -169,16 +161,21 @@ void write_report_body(const FairnessReport& report, std::ostream& out,
 
 }  // namespace
 
-void write_fairness_json(const FairnessReport& report, std::ostream& out,
+// The fixed/6 format goes on the caller's stream before the TextOut reads
+// it and stays set afterwards, so later writers on the same stream print
+// fixed too (perfbench's export_all pins those bytes).
+void write_fairness_json(const FairnessReport& report, std::ostream& stream,
                          int max_trajectory_points) {
-  out << std::fixed << std::setprecision(6);
+  stream << std::fixed << std::setprecision(6);
+  TextOut out(stream);
   write_report_body(report, out, max_trajectory_points);
   out << '\n';
 }
 
 void write_fairness_json(const std::vector<FairnessReport>& reports,
-                         std::ostream& out, int max_trajectory_points) {
-  out << std::fixed << std::setprecision(6);
+                         std::ostream& stream, int max_trajectory_points) {
+  stream << std::fixed << std::setprecision(6);
+  TextOut out(stream);
   out << "{\"tool\":\"smr_serve\",\"reports\":[";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     if (i != 0) out << ',';

@@ -305,37 +305,15 @@ std::optional<JsonValue> parse_json(const std::string& text,
 std::string escape_json(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  static constexpr char kHex[] = "0123456789abcdef";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default: {
-        const auto byte = static_cast<unsigned char>(c);
-        if (byte < 0x20) {
-          // Remaining C0 controls have no named escape.
-          out += "\\u00";
-          out.push_back(kHex[byte >> 4]);
-          out.push_back(kHex[byte & 0xF]);
-        } else {
-          // UTF-8 payload bytes pass through; the parser's \uXXXX decoder
-          // produces the same bytes, so round-trips are exact.
-          out.push_back(c);
-        }
-        break;
-      }
-    }
-  }
+  append_json_escaped(out, s);
   return out;
 }
 
 void write_json_string(std::ostream& out, std::string_view s) {
-  out << '"' << escape_json(s) << '"';
+  std::string quoted(1, '"');
+  append_json_escaped(quoted, s);
+  quoted.push_back('"');
+  out.write(quoted.data(), static_cast<std::streamsize>(quoted.size()));
 }
 
 std::optional<std::vector<JsonValue>> parse_jsonl(const std::string& text,

@@ -9,13 +9,14 @@
 // pairs, decoded to UTF-8), numbers (as double), booleans, null — and no
 // extensions (no comments, no trailing commas).
 //
-// escape_json/write_json_string are the symmetric writer half: named
-// escapes for the common controls, \uXXXX for the rest of the C0 range,
-// raw pass-through for UTF-8 payload bytes.  Every sink routes through
-// them so non-ASCII tenant and job names survive a write→inspect
-// round-trip byte-for-byte.
+// append_json_escaped is the symmetric writer half: named escapes for the
+// common controls, \uXXXX for the rest of the C0 range, raw pass-through
+// for UTF-8 payload bytes.  escape_json, write_json_string and TextOut's
+// in-buffer escaping all route through it, so non-ASCII tenant and job
+// names survive a write→inspect round-trip byte-for-byte.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -85,12 +86,43 @@ std::optional<JsonValue> parse_json(const std::string& text,
 std::optional<std::vector<JsonValue>> parse_jsonl(const std::string& text,
                                                   std::string* error = nullptr);
 
-/// Returns `s` with JSON string escaping applied (no surrounding quotes):
-/// named escapes for " \ and \n \r \t \b \f, \u00XX for remaining control
-/// characters, all other bytes (UTF-8 payload included) passed through.
+/// Appends `s` with JSON string escaping applied (no surrounding quotes)
+/// to `sink`, which takes `append(const char*, std::size_t)`: named
+/// escapes for " \ and \n \r \t \b \f, \u00XX for the remaining control
+/// characters, every other byte (UTF-8 payload included) passed through.
+/// Runs of pass-through bytes go out in one append.
+template <typename Sink>
+void append_json_escaped(Sink& sink, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending pass-through run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto byte = static_cast<unsigned char>(s[i]);
+    if (byte >= 0x20 && byte != '"' && byte != '\\') continue;
+    sink.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (byte) {
+      case '"': sink.append("\\\"", 2); break;
+      case '\\': sink.append("\\\\", 2); break;
+      case '\n': sink.append("\\n", 2); break;
+      case '\r': sink.append("\\r", 2); break;
+      case '\t': sink.append("\\t", 2); break;
+      case '\b': sink.append("\\b", 2); break;
+      case '\f': sink.append("\\f", 2); break;
+      default: {
+        const char unicode[] = {'\\', 'u', '0', '0', kHex[byte >> 4],
+                                kHex[byte & 0xF]};
+        sink.append(unicode, sizeof unicode);
+        break;
+      }
+    }
+  }
+  sink.append(s.data() + run, s.size() - run);
+}
+
+/// Returns `s` with JSON string escaping applied (append_json_escaped).
 std::string escape_json(std::string_view s);
 
-/// Streams `"` + escape_json(s) + `"` — the shared writer for every sink.
+/// Writes `"` + escape_json(s) + `"` to `out`.
 void write_json_string(std::ostream& out, std::string_view s);
 
 }  // namespace smr

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <ostream>
 #include <set>
 
-#include "smr/common/csv.hpp"
-#include "smr/common/json.hpp"
+#include "smr/common/text_out.hpp"
 #include "smr/obs/span_log.hpp"
 
 namespace smr::metrics {
@@ -52,29 +50,24 @@ std::size_t TraceLog::memory_bytes() const {
   return bytes;
 }
 
-void TraceLog::write_csv(std::ostream& out) const {
+void TraceLog::write_csv(std::ostream& stream) const {
+  TextOut out(stream);
   out << "time,kind,job,task,node,is_map,detail,value\n";
   for (const auto& e : events_) {
     out << e.time << ',' << to_string(e.kind) << ',' << e.job << ',' << e.task
-        << ',' << e.node << ',' << (e.is_map ? 1 : 0) << ','
-        << csv_quote(e.detail) << ',' << e.value << '\n';
+        << ',' << e.node << ',' << (e.is_map ? '1' : '0') << ',';
+    out.csv_field(e.detail);
+    out << ',' << e.value << '\n';
   }
 }
-
-namespace {
-
-/// JSON string escaping for event details (free text may carry quotes);
-/// the shared escaper keeps writers symmetric with the common/json parser.
-std::string json_escape(const std::string& s) { return escape_json(s); }
-
-}  // namespace
 
 void TraceLog::write_chrome_trace(std::ostream& out) const {
   write_chrome_trace(out, nullptr);
 }
 
-void TraceLog::write_chrome_trace(std::ostream& out,
+void TraceLog::write_chrome_trace(std::ostream& stream,
                                   const obs::SpanLog* spans) const {
+  TextOut out(stream);
   // The control plane (counters, instants, policy decisions) renders as
   // its own trace-viewer process, away from any real node pid.
   constexpr long long kControlPid = 1000000;
@@ -88,7 +81,7 @@ void TraceLog::write_chrome_trace(std::ostream& out,
   // task, or with the task's finish/kill.
   struct OpenPhase {
     SimTime start = 0.0;
-    std::string name;
+    const std::string* name = nullptr;  // the event's detail, not a copy
     NodeId node = kInvalidNode;
     JobId job = kInvalidJob;
   };
@@ -102,9 +95,11 @@ void TraceLog::write_chrome_trace(std::ostream& out,
   };
   auto emit = [&](const OpenPhase& phase, TaskId task, SimTime end) {
     comma();
-    out << "\n{\"name\":\"" << json_escape(phase.name) << "\",\"ph\":\"X\",\"pid\":"
-        << phase.node << ",\"tid\":" << task << ",\"ts\":"
-        << phase.start * 1e6 << ",\"dur\":" << (end - phase.start) * 1e6
+    out << "\n{\"name\":";
+    out.json_string(*phase.name);
+    out << ",\"ph\":\"X\",\"pid\":" << phase.node << ",\"tid\":" << task
+        << ",\"ts\":" << phase.start * 1e6
+        << ",\"dur\":" << (end - phase.start) * 1e6
         << ",\"args\":{\"job\":" << phase.job << "}}";
   };
   auto emit_instant = [&](const TraceEvent& e, const char* name) {
@@ -147,7 +142,7 @@ void TraceLog::write_chrome_trace(std::ostream& out,
         if (auto it = open.find(e.task); it != open.end()) {
           emit(it->second, e.task, e.time);
         }
-        open[e.task] = OpenPhase{e.time, e.detail, e.node, e.job};
+        open[e.task] = OpenPhase{e.time, &e.detail, e.node, e.job};
         break;
       }
       case TraceEventKind::kTaskLaunched: {
@@ -173,8 +168,9 @@ void TraceLog::write_chrome_trace(std::ostream& out,
         break;
       case TraceEventKind::kPolicyDecision: {
         comma();
-        out << "\n{\"name\":\"" << json_escape(e.detail)
-            << "\",\"ph\":\"i\",\"s\":\"p\",\"pid\":" << kControlPid
+        out << "\n{\"name\":";
+        out.json_string(e.detail);
+        out << ",\"ph\":\"i\",\"s\":\"p\",\"pid\":" << kControlPid
             << ",\"tid\":1,\"ts\":" << e.time * 1e6
             << ",\"args\":{\"balance_factor\":" << e.value << "}}";
         break;
@@ -206,8 +202,9 @@ void TraceLog::write_chrome_trace(std::ostream& out,
         comma();
         out << "\n{\"name\":\"slo-alert\",\"ph\":\"i\",\"s\":\"g\",\"pid\":"
             << kControlPid << ",\"tid\":2,\"ts\":" << e.time * 1e6
-            << ",\"args\":{\"tenant\":\"" << json_escape(e.detail)
-            << "\",\"burn_rate\":" << e.value << "}}";
+            << ",\"args\":{\"tenant\":";
+        out.json_string(e.detail);
+        out << ",\"burn_rate\":" << e.value << "}}";
         break;
       }
       default:
@@ -285,8 +282,9 @@ void TraceLog::write_chrome_trace(std::ostream& out,
     // The slices themselves, nested by (pid, tid, containment).
     for (const auto& s : spans->spans()) {
       comma();
-      out << "\n{\"name\":\"" << json_escape(s.name)
-          << "\",\"ph\":\"X\",\"pid\":" << span_pid(s)
+      out << "\n{\"name\":";
+      out.json_string(s.name);
+      out << ",\"ph\":\"X\",\"pid\":" << span_pid(s)
           << ",\"tid\":" << span_tid(s) << ",\"ts\":" << s.start * 1e6
           << ",\"dur\":" << (span_end(s) - s.start) * 1e6
           << ",\"args\":{\"span\":" << s.id << ",\"outcome\":\""

@@ -1,7 +1,9 @@
 #include "smr/obs/critical_path.hpp"
 
 #include <algorithm>
-#include <ostream>
+#include <unordered_map>
+
+#include "smr/common/text_out.hpp"
 
 namespace smr::obs {
 
@@ -79,19 +81,20 @@ ChainResult walk_chain(const SpanLog& log, const Span& last, SimTime floor,
 
 /// Last-finishing closed attempt matching the predicate, or nullptr.
 template <typename Pred>
-const Span* last_finishing(const std::vector<Span>& attempts, Pred pred) {
+const Span* last_finishing(const std::vector<const Span*>& attempts,
+                           Pred pred) {
   const Span* best = nullptr;
-  for (const Span& a : attempts) {
-    if (!pred(a)) continue;
-    if (best == nullptr || a.end > best->end ||
-        (a.end == best->end && a.id > best->id)) {
-      best = &a;
+  for (const Span* a : attempts) {
+    if (!pred(*a)) continue;
+    if (best == nullptr || a->end > best->end ||
+        (a->end == best->end && a->id > best->id)) {
+      best = a;
     }
   }
   return best;
 }
 
-void write_segments(std::ostream& out, const CriticalPathSegments& seg) {
+void write_segments(TextOut& out, const CriticalPathSegments& seg) {
   out << "{\"wait_for_slot\":" << seg.wait_for_slot
       << ",\"data_transfer\":" << seg.data_transfer
       << ",\"compute\":" << seg.compute << ",\"retry\":" << seg.retry
@@ -103,8 +106,18 @@ void write_segments(std::ostream& out, const CriticalPathSegments& seg) {
 
 CriticalPathReport analyze_critical_path(const SpanLog& log,
                                          SimTime heartbeat_period) {
+  // Closed attempts grouped by job in one pass, each group in id order.
+  std::unordered_map<JobId, std::vector<const Span*>> attempts_by_job;
+  for (const Span& span : log.spans()) {
+    if (span.kind == SpanKind::kAttempt && span.closed()) {
+      attempts_by_job[span.job].push_back(&span);
+    }
+  }
+  static const std::vector<const Span*> kNoAttempts;
+
   CriticalPathReport report;
-  for (const Span& job_span : log.of_kind(SpanKind::kJob)) {
+  for (const Span& job_span : log.spans()) {
+    if (job_span.kind != SpanKind::kJob) continue;
     if (!job_span.closed() || job_span.outcome != SpanOutcome::kOk) {
       ++report.skipped_jobs;
       continue;
@@ -116,7 +129,9 @@ CriticalPathReport analyze_critical_path(const SpanLog& log,
     jcp.finish = job_span.end;
     jcp.makespan = job_span.end - job_span.start;
 
-    const auto attempts = log.attempts_of_job(job_span.job);
+    const auto found = attempts_by_job.find(job_span.job);
+    const std::vector<const Span*>& attempts =
+        found != attempts_by_job.end() ? found->second : kNoAttempts;
     const Span* last_reduce = last_finishing(attempts, [](const Span& a) {
       return !a.is_map && a.outcome == SpanOutcome::kOk;
     });
@@ -145,12 +160,12 @@ CriticalPathReport analyze_critical_path(const SpanLog& log,
       // Map chain: the last successful map finishing by the eligibility
       // crossing is the one whose completion opened the reduce phase.
       const Span* gating_map = nullptr;
-      for (const Span& a : attempts) {
-        if (!a.is_map || a.outcome != SpanOutcome::kOk) continue;
-        if (a.end > eligible) continue;
-        if (gating_map == nullptr || a.end > gating_map->end ||
-            (a.end == gating_map->end && a.id > gating_map->id)) {
-          gating_map = &a;
+      for (const Span* a : attempts) {
+        if (!a->is_map || a->outcome != SpanOutcome::kOk) continue;
+        if (a->end > eligible) continue;
+        if (gating_map == nullptr || a->end > gating_map->end ||
+            (a->end == gating_map->end && a->id > gating_map->id)) {
+          gating_map = a;
         }
       }
       if (gating_map != nullptr) {
@@ -188,14 +203,16 @@ CriticalPathReport analyze_critical_path(const SpanLog& log,
   return report;
 }
 
-void CriticalPathReport::write_json(std::ostream& out) const {
+void CriticalPathReport::write_json(std::ostream& stream) const {
+  TextOut out(stream);
   out << "{\"type\":\"critpath\",\"jobs\":[";
   bool first = true;
   for (const auto& jcp : jobs) {
     if (!first) out << ",";
     first = false;
-    out << "{\"job\":" << jcp.job << ",\"name\":\"" << jcp.name
-        << "\",\"submit\":" << jcp.submit << ",\"finish\":" << jcp.finish
+    out << "{\"job\":" << jcp.job << ",\"name\":";
+    out.json_string(jcp.name);
+    out << ",\"submit\":" << jcp.submit << ",\"finish\":" << jcp.finish
         << ",\"makespan\":" << jcp.makespan << ",\"segments\":";
     write_segments(out, jcp.segments);
     out << ",\"attempts_on_path\":" << jcp.attempts_on_path

@@ -1,8 +1,6 @@
 #include "smr/obs/decision_log.hpp"
 
-#include <ostream>
-
-#include "smr/common/csv.hpp"
+#include "smr/common/text_out.hpp"
 
 namespace smr::obs {
 
@@ -27,7 +25,8 @@ std::vector<SlotDecision> DecisionLog::of_action(SlotAction action) const {
   return matching;
 }
 
-void write_decisions_csv(const DecisionLog& log, std::ostream& out) {
+void write_decisions_csv(const DecisionLog& log, std::ostream& stream) {
+  TextOut out(stream);
   out << "id,time,action,map_output_rate,shuffle_rate,running_reduces,"
          "total_reduces,balance_factor,slow_start_passed,thrash_suspected,"
          "thrash_confirmed,thrash_strikes,thrash_ceiling,map_slots_before,"
@@ -37,12 +36,14 @@ void write_decisions_csv(const DecisionLog& log, std::ostream& out) {
         << ',' << d.shuffle_rate << ',' << d.running_reduces << ','
         << d.total_reduces << ',';
     if (d.balance_factor) out << *d.balance_factor;
-    out << ',' << (d.slow_start_passed ? 1 : 0) << ','
-        << (d.thrash_suspected ? 1 : 0) << ',' << (d.thrash_confirmed ? 1 : 0)
+    out << ',' << (d.slow_start_passed ? '1' : '0') << ','
+        << (d.thrash_suspected ? '1' : '0') << ','
+        << (d.thrash_confirmed ? '1' : '0')
         << ',' << d.thrash_strikes << ',' << d.thrash_ceiling << ','
         << d.map_slots_before << ',' << d.map_slots_after << ','
-        << d.reduce_slots_before << ',' << d.reduce_slots_after << ','
-        << csv_quote(d.reason) << '\n';
+        << d.reduce_slots_before << ',' << d.reduce_slots_after << ',';
+    out.csv_field(d.reason);
+    out << '\n';
   }
 }
 

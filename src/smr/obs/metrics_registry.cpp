@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <ostream>
 
-#include "smr/common/csv.hpp"
 #include "smr/common/error.hpp"
-#include "smr/common/json.hpp"
+#include "smr/common/text_out.hpp"
 
 namespace smr::obs {
 
@@ -214,21 +212,22 @@ std::vector<std::string> MetricsRegistry::names() const {
   return out;
 }
 
-void MetricsRegistry::write_jsonl(std::ostream& out) const {
+void MetricsRegistry::write_jsonl(std::ostream& stream) const {
   std::lock_guard<std::mutex> lock(mutex_);
+  TextOut out(stream);
   for (const auto& [name, inst] : instruments_) {
     if (inst.counter) {
       out << "{\"type\":\"counter\",\"name\":";
-      write_json_string(out, name);
+      out.json_string(name);
       out << ",\"value\":" << inst.counter->value() << "}\n";
     } else if (inst.gauge) {
       out << "{\"type\":\"gauge\",\"name\":";
-      write_json_string(out, name);
+      out.json_string(name);
       out << ",\"value\":" << inst.gauge->value() << "}\n";
     } else if (inst.histogram) {
       const Histogram& h = *inst.histogram;
       out << "{\"type\":\"histogram\",\"name\":";
-      write_json_string(out, name);
+      out.json_string(name);
       out << ",\"count\":" << h.total_count() << ",\"sum\":" << h.sum()
           << ",\"bounds\":[";
       for (std::size_t i = 0; i < h.bounds().size(); ++i) {
@@ -249,20 +248,22 @@ void MetricsRegistry::write_jsonl(std::ostream& out) const {
     } else if (inst.series) {
       for (const auto& sample : inst.series->samples()) {
         out << "{\"type\":\"series\",\"name\":";
-        write_json_string(out, name);
+        out.json_string(name);
         out << ",\"t\":" << sample.time << ",\"v\":" << sample.value << "}\n";
       }
     }
   }
 }
 
-void MetricsRegistry::write_series_csv(std::ostream& out) const {
+void MetricsRegistry::write_series_csv(std::ostream& stream) const {
   std::lock_guard<std::mutex> lock(mutex_);
+  TextOut out(stream);
   out << "name,time,value\n";
   for (const auto& [name, inst] : instruments_) {
     if (!inst.series) continue;
     for (const auto& sample : inst.series->samples()) {
-      out << csv_quote(name) << ',' << sample.time << ',' << sample.value << '\n';
+      out.csv_field(name);
+      out << ',' << sample.time << ',' << sample.value << '\n';
     }
   }
 }

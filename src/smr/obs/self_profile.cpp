@@ -1,10 +1,11 @@
 #include "smr/obs/self_profile.hpp"
 
-#include <ostream>
+#include "smr/common/text_out.hpp"
 
 namespace smr::obs {
 
-void EngineProfile::write_json(std::ostream& out) const {
+void EngineProfile::write_json(std::ostream& stream) const {
+  TextOut out(stream);
   out << "{\"type\":\"engine\",\"wall_seconds\":" << wall_seconds
       << ",\"sim_seconds\":" << sim_seconds << ",\"events\":" << events
       << ",\"events_per_sec\":" << events_per_sec()

@@ -1,9 +1,7 @@
 #include "smr/obs/span_log.hpp"
 
-#include <ostream>
-
 #include "smr/common/error.hpp"
-#include "smr/common/json.hpp"
+#include "smr/common/text_out.hpp"
 
 namespace smr::obs {
 
@@ -106,7 +104,7 @@ void SpanLog::close_open(SimTime end, SpanOutcome outcome) {
 namespace {
 
 /// kTimeNever is not representable in JSON; open spans emit null.
-void write_time(std::ostream& out, SimTime t) {
+void write_time(TextOut& out, SimTime t) {
   if (t == kTimeNever) {
     out << "null";
   } else {
@@ -116,11 +114,12 @@ void write_time(std::ostream& out, SimTime t) {
 
 }  // namespace
 
-void SpanLog::write_jsonl(std::ostream& out) const {
+void SpanLog::write_jsonl(std::ostream& stream) const {
+  TextOut out(stream);
   for (const Span& s : spans_) {
     out << "{\"type\":\"span\",\"id\":" << s.id << ",\"parent\":" << s.parent
         << ",\"kind\":\"" << to_string(s.kind) << "\",\"name\":";
-    write_json_string(out, s.name);
+    out.json_string(s.name);
     out << ",\"start\":" << s.start << ",\"end\":";
     write_time(out, s.end);
     out << ",\"outcome\":\"" << to_string(s.outcome) << "\",\"job\":" << s.job

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <sstream>
 #include <utility>
 
 #include "smr/common/error.hpp"
@@ -21,9 +22,17 @@ const std::vector<double> kLatencyBounds = {30.0,   60.0,   120.0,  300.0,
 }  // namespace
 
 void ServeConfig::validate() const {
-  SMR_CHECK(horizon > 0.0);
-  SMR_CHECK(warmup >= 0.0 && warmup < horizon);
-  SMR_CHECK(drain_limit >= 0.0);
+  // User-facing: each field is one smr_serve flag, so name it and its value.
+  std::ostringstream bad;
+  if (!(horizon > 0.0)) {
+    bad << "--horizon=" << horizon << ": the arrival horizon must be positive";
+  } else if (!(warmup >= 0.0 && warmup < horizon)) {
+    bad << "--warmup=" << warmup << " must be at least 0 and below --horizon="
+        << horizon;
+  } else if (!(drain_limit >= 0.0)) {
+    bad << "--drain-limit=" << drain_limit << " must not be negative";
+  }
+  if (!bad.str().empty()) throw SmrError(bad.str());
   burn.validate();
   admission.validate();
   for (const auto& tenant : tenants) tenant.validate();

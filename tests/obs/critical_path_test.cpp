@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "smr/common/json.hpp"
 #include "smr/core/slot_policy.hpp"
 #include "smr/mapreduce/runtime.hpp"
 #include "smr/obs/span_log.hpp"
@@ -133,6 +134,50 @@ TEST(CriticalPath, WriteJsonEmitsSegmentsAndAggregate) {
   EXPECT_NE(json.find("\"wait_for_slot\""), std::string::npos);
   EXPECT_NE(json.find("\"aggregate\""), std::string::npos);
   EXPECT_NE(json.find("\"skipped_jobs\":0"), std::string::npos);
+}
+
+TEST(CriticalPath, WriteJsonEscapesJobNames) {
+  // Job names are free text; a quote or backslash must not break the JSON.
+  const std::string name = "sort \"big\" C:\\data\n";
+  SpanLog log;
+  const SpanId run = log.open(SpanKind::kRun, "run", 0.0);
+  const SpanId job = log.open(SpanKind::kJob, name, 0.0, run);
+  log.at(job).job = 0;
+  add_attempt(log, job, 0.0, 20.0, /*is_map=*/true);
+  log.close(job, 20.0);
+  log.close(run, 20.0);
+  std::ostringstream out;
+  analyze_critical_path(log, 3.0).write_json(out);
+  std::string error;
+  const auto parsed = parse_json(out.str(), &error);
+  ASSERT_TRUE(parsed.has_value()) << error << "\n" << out.str();
+  const JsonArray& jobs = parsed->find("jobs")->as_array();
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].string_or("name", ""), name);
+}
+
+TEST(CriticalPath, GroupsAttemptsOfInterleavedJobs) {
+  // Two jobs whose attempts interleave in the log: each job's path sees
+  // only its own attempts.
+  SpanLog log;
+  const SpanId run = log.open(SpanKind::kRun, "run", 0.0);
+  const SpanId a = log.open(SpanKind::kJob, "a", 0.0, run);
+  log.at(a).job = 0;
+  const SpanId b = log.open(SpanKind::kJob, "b", 5.0, run);
+  log.at(b).job = 1;
+  add_attempt(log, a, 2.0, 30.0, /*is_map=*/true);
+  add_attempt(log, b, 5.0, 15.0, /*is_map=*/true);
+  add_attempt(log, a, 3.0, 40.0, /*is_map=*/true);
+  log.close(b, 15.0);
+  log.close(a, 40.0);
+  log.close(run, 40.0);
+  const auto report = analyze_critical_path(log, 1.0);
+  ASSERT_EQ(report.jobs.size(), 2u);
+  EXPECT_EQ(report.jobs[0].name, "a");
+  EXPECT_DOUBLE_EQ(report.jobs[0].segments.compute, 37.0);
+  EXPECT_EQ(report.jobs[1].name, "b");
+  EXPECT_DOUBLE_EQ(report.jobs[1].segments.compute, 10.0);
+  EXPECT_DOUBLE_EQ(report.jobs[1].segments.total(), 10.0);
 }
 
 TEST(CriticalPath, RealRunAttributesFullMakespan) {

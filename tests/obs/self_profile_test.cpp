@@ -52,5 +52,31 @@ TEST(EngineProfile, WriteJsonSingleObject) {
   EXPECT_NE(json.find("\"trace_bytes\":1024"), std::string::npos);
 }
 
+TEST(EngineProfile, WriteJsonMatchesRecordedBytes) {
+  // Expected text recorded from the ostream-formatting writer: a 64-bit
+  // count at its maximum and rates in %g at precision 6.
+  EngineProfile profile;
+  profile.wall_seconds = 0.123456789;
+  profile.sim_seconds = 86400.0;
+  profile.events = 18446744073709551615ULL;
+  profile.peak_pending = 4096;
+  profile.trace_events = 123456789;
+  profile.trace_bytes = 0;
+  std::ostringstream out;
+  profile.write_json(out);
+  EXPECT_EQ(out.str(),
+            "{\"type\":\"engine\",\"wall_seconds\":0.123457,"
+            "\"sim_seconds\":86400,\"events\":18446744073709551615,"
+            "\"events_per_sec\":1.49419e+20,\"speedup\":699840,"
+            "\"peak_pending\":4096,\"trace_events\":123456789,"
+            "\"trace_bytes\":0}");
+  std::ostringstream zero;
+  EngineProfile().write_json(zero);
+  EXPECT_EQ(zero.str(),
+            "{\"type\":\"engine\",\"wall_seconds\":0,\"sim_seconds\":0,"
+            "\"events\":0,\"events_per_sec\":0,\"speedup\":0,"
+            "\"peak_pending\":0,\"trace_events\":0,\"trace_bytes\":0}");
+}
+
 }  // namespace
 }  // namespace smr::obs

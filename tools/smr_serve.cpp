@@ -273,6 +273,7 @@ int main(int argc, char** argv) {
   }
 
   try {
+    config.validate();  // before any arrivals are generated from it
     if (flags.get_bool("frontier")) {
       alloc::FrontierConfig frontier;
       frontier.experiment = config.experiment;
