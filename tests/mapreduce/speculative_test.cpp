@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <string>
 
 #include "smr/mapreduce/runtime.hpp"
 #include "smr/metrics/trace.hpp"
@@ -126,13 +128,37 @@ TEST(Speculation, SurvivesNodeFailure) {
   EXPECT_TRUE(result.completed);
 }
 
+/// Flips every tracker's map target between 4 and 1 each policy period, so
+/// eager shrinking really kills running maps (shadows first).
+class OscillatingPolicy final : public AllocationPolicy {
+ public:
+  std::string name() const override { return "oscillating"; }
+  void on_period(std::span<TaskTracker> trackers, const ClusterStats& stats) override {
+    if (!stats.has_active_job) return;
+    ++periods_;
+    const int target = (periods_ % 2 == 0) ? 4 : 1;
+    for (auto& tracker : trackers) tracker.set_map_target(target);
+  }
+
+ private:
+  int periods_ = 0;
+};
+
 TEST(Speculation, WorksUnderEagerShrink) {
   auto config = spec_config(true);
   config.eager_slot_shrink = true;
-  Runtime runtime(config, std::make_unique<StaticSlotPolicy>());
+  config.seed = 1;
+  Runtime runtime(config, std::make_unique<OscillatingPolicy>());
   runtime.submit(straggly_job(), 0.0);
   const auto result = runtime.run();
-  EXPECT_TRUE(result.completed);
+  ASSERT_TRUE(result.completed);
+  EXPECT_GT(runtime.killed_map_tasks(), 0);
+  // Pinned to the values the run produced before the map and reduce attempt
+  // lifecycles shared one code path.
+  EXPECT_EQ(runtime.killed_map_tasks(), 119);
+  EXPECT_EQ(runtime.speculative_launches(), 16);
+  EXPECT_EQ(runtime.speculative_wins(), 2);
+  EXPECT_DOUBLE_EQ(result.jobs[0].finish_time, 200.5);
 }
 
 // Determinism must hold with speculation enabled (races resolve on the
