@@ -79,11 +79,12 @@ void Runtime::setup_shards() {
 //
 // Resolves every running attempt on the shard's nodes once: one pass over the
 // tracker lists and the dense task-ref table builds SoA views (ids / task
-// pointers / job pointers / specs, node order).  Every later stage indexes
-// these instead of re-resolving attempt ids.  Pointers stay valid for the
-// whole tick: no attempt launches happen outside heartbeats, and teardown
-// paths run after the stages that use them.  The occupancy census and the
-// network-participant and settle-candidate lists ride the same pass.
+// pointers / job pointers / specs, node order), redone only when the running
+// sets or the task storage changed.  Every later stage indexes these instead
+// of re-resolving attempt ids.  Pointers stay valid for the whole tick: no
+// attempt launches happen outside heartbeats, and teardown paths run after
+// the stages that use them.  A sweep over the views then takes the occupancy
+// census and the network-participant and settle-candidate lists.
 //
 // Doom detection rides it too: an attempt whose progress crossed its
 // injected-failure threshold last tick dies at this tick boundary, before
@@ -118,121 +119,66 @@ void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
   if (!same_membership) {
     s.resolve_version_sum = vsum;
     s.resolve_storage_generation = storage_generation_;
-    s.map_id.clear();
-    s.map_task.clear();
-    s.map_job.clear();
-    s.map_spec.clear();
-    s.red_id.clear();
-    s.red_task.clear();
-    s.red_job.clear();
-    s.red_spec.clear();
-    s.map_range.clear();
-    s.red_range.clear();
+    s.maps.clear();
+    s.reds.clear();
+    const auto resolve = [this]<class Task>(const std::vector<TaskId>& running,
+                                            ShardScratch::Resolved<Task>& out) {
+      const auto begin = static_cast<std::uint32_t>(out.id.size());
+      for (TaskId id : running) {
+        const TaskRef& ref = task_refs_[static_cast<std::size_t>(id)];
+        Job* job = &jobs_[static_cast<std::size_t>(ref.job)];
+        out.id.push_back(id);
+        out.task.push_back(&attempt_at<Task>(ref));
+        out.job.push_back(job);
+        out.spec.push_back(&job->spec);
+      }
+      out.range.emplace_back(begin, static_cast<std::uint32_t>(out.id.size()));
+    };
     for (std::size_t d = lo; d < hi; ++d) {
-      const auto li = d - lo;
-      const auto& tracker = trackers_[d];
-      auto& o = s.occ[li];
-      const auto map_begin = static_cast<std::uint32_t>(s.map_id.size());
-      for (TaskId id : tracker.running_map_tasks()) {
-        const TaskRef& ref = task_refs_[static_cast<std::size_t>(id)];
-        Job* job = &jobs_[static_cast<std::size_t>(ref.job)];
-        MapTask* task =
-            ref.speculative
-                ? &map_shadow_pool_[static_cast<std::size_t>(ref.shadow_slot)]
-                : &job->maps[static_cast<std::size_t>(ref.index)];
-        const auto entry = static_cast<std::uint32_t>(s.map_id.size());
-        s.map_id.push_back(id);
-        s.map_task.push_back(task);
-        s.map_job.push_back(job);
-        s.map_spec.push_back(&job->spec);
-        const bool remote_mapping =
-            task->phase == MapPhase::kMapping && !task->local;
-        o.threads += 1;
-        o.io_streams += remote_mapping ? 0 : 1;
-        o.memory_demand += job->spec.map_task_memory;
-        if (remote_mapping) {
-          s.node_has_remote[li] = 1;
-          s.remote_entries.push_back(entry);
-        }
-        if (detect_doom && task->progress() >= task->fail_at_progress) {
-          s.doomed_maps.push_back(id);
-        }
-      }
-      s.map_range.emplace_back(map_begin,
-                               static_cast<std::uint32_t>(s.map_id.size()));
-      const auto red_begin = static_cast<std::uint32_t>(s.red_id.size());
-      for (TaskId id : tracker.running_reduce_tasks()) {
-        const TaskRef& ref = task_refs_[static_cast<std::size_t>(id)];
-        Job* job = &jobs_[static_cast<std::size_t>(ref.job)];
-        ReduceTask* task =
-            ref.speculative
-                ? &reduce_shadow_pool_[static_cast<std::size_t>(ref.shadow_slot)]
-                : &job->reduces[static_cast<std::size_t>(ref.index)];
-        const auto entry = static_cast<std::uint32_t>(s.red_id.size());
-        s.red_id.push_back(id);
-        s.red_task.push_back(task);
-        s.red_job.push_back(job);
-        s.red_spec.push_back(&job->spec);
-        const bool shuffling = task->phase == ReducePhase::kShuffling;
-        o.threads += shuffling ? 2 : 1;
-        o.io_streams += 1;
-        o.memory_demand += job->spec.reduce_task_memory;
-        // Shuffle-settle candidates: conditions are re-checked at settle
-        // time; phases can only *enter* kShuffling via requeues, which never
-        // happen inside a tick.
-        if (shuffling) {
-          s.shuffle_entries.push_back(entry);
-          (ref.speculative ? s.settle_shadows : s.settle_primaries)
-              .push_back(id);
-        }
-        if (detect_doom && task->progress() >= task->fail_at_progress) {
-          s.doomed_reduces.push_back(id);
-        }
-      }
-      s.red_range.emplace_back(red_begin,
-                               static_cast<std::uint32_t>(s.red_id.size()));
+      resolve(trackers_[d].running_map_tasks(), s.maps);
+      resolve(trackers_[d].running_reduce_tasks(), s.reds);
     }
-  } else {
-    // Membership unchanged: sweep the cached arrays for the phase-dependent
-    // census only.  Field for field this repeats the rebuild above over
-    // identical tasks in identical order.
-    for (std::size_t d = lo; d < hi; ++d) {
-      const auto li = d - lo;
-      auto& o = s.occ[li];
-      const auto [mb, me] = s.map_range[li];
-      for (std::uint32_t i = mb; i < me; ++i) {
-        const MapTask* task = s.map_task[i];
-        const bool remote_mapping =
-            task->phase == MapPhase::kMapping && !task->local;
-        o.threads += 1;
-        o.io_streams += remote_mapping ? 0 : 1;
-        o.memory_demand += s.map_spec[i]->map_task_memory;
-        if (remote_mapping) {
-          s.node_has_remote[li] = 1;
-          s.remote_entries.push_back(i);
-        }
-        if (detect_doom && task->progress() >= task->fail_at_progress) {
-          s.doomed_maps.push_back(s.map_id[i]);
-        }
+  }
+  // The phase-dependent census over the resolved arrays.
+  for (std::size_t d = lo; d < hi; ++d) {
+    const auto li = d - lo;
+    auto& o = s.occ[li];
+    const auto [mb, me] = s.maps.range[li];
+    for (std::uint32_t i = mb; i < me; ++i) {
+      const MapTask* task = s.maps.task[i];
+      const bool remote_mapping =
+          task->phase == MapPhase::kMapping && !task->local;
+      o.threads += 1;
+      o.io_streams += remote_mapping ? 0 : 1;
+      o.memory_demand += s.maps.spec[i]->map_task_memory;
+      if (remote_mapping) {
+        s.node_has_remote[li] = 1;
+        s.remote_entries.push_back(i);
       }
-      const auto [rb, re] = s.red_range[li];
-      for (std::uint32_t i = rb; i < re; ++i) {
-        const ReduceTask* task = s.red_task[i];
-        const bool shuffling = task->phase == ReducePhase::kShuffling;
-        o.threads += shuffling ? 2 : 1;
-        o.io_streams += 1;
-        o.memory_demand += s.red_spec[i]->reduce_task_memory;
-        if (shuffling) {
-          const TaskId id = s.red_id[i];
-          s.shuffle_entries.push_back(i);
-          (task_refs_[static_cast<std::size_t>(id)].speculative
-               ? s.settle_shadows
-               : s.settle_primaries)
-              .push_back(id);
-        }
-        if (detect_doom && task->progress() >= task->fail_at_progress) {
-          s.doomed_reduces.push_back(s.red_id[i]);
-        }
+      if (detect_doom && task->progress() >= task->fail_at_progress) {
+        s.doomed_maps.push_back(s.maps.id[i]);
+      }
+    }
+    const auto [rb, re] = s.reds.range[li];
+    for (std::uint32_t i = rb; i < re; ++i) {
+      const ReduceTask* task = s.reds.task[i];
+      const bool shuffling = task->phase == ReducePhase::kShuffling;
+      o.threads += shuffling ? 2 : 1;
+      o.io_streams += 1;
+      o.memory_demand += s.reds.spec[i]->reduce_task_memory;
+      // Shuffle-settle candidates: conditions are re-checked at settle time;
+      // phases can only *enter* kShuffling via requeues, which never happen
+      // inside a tick.
+      if (shuffling) {
+        const TaskId id = s.reds.id[i];
+        s.shuffle_entries.push_back(i);
+        (task_refs_[static_cast<std::size_t>(id)].speculative
+             ? s.settle_shadows
+             : s.settle_primaries)
+            .push_back(id);
+      }
+      if (detect_doom && task->progress() >= task->fail_at_progress) {
+        s.doomed_reduces.push_back(s.reds.id[i]);
       }
     }
   }
@@ -258,14 +204,14 @@ void Runtime::shard_collect_flows(ShardScratch& s) {
   for (std::size_t d = lo; d < hi; ++d) {
     const auto li = d - lo;
     const NodeId dst = trackers_[d].node();
-    const std::uint32_t re = s.red_range[li].second;
+    const std::uint32_t re = s.reds.range[li].second;
     for (; sp < s.shuffle_entries.size() && s.shuffle_entries[sp] < re; ++sp) {
       const std::uint32_t i = s.shuffle_entries[sp];
-      const ReduceTask& task = *s.red_task[i];
+      const ReduceTask& task = *s.reds.task[i];
       if (task.backlog() <= kByteEps) continue;
       tick_.fetch_streams[static_cast<std::size_t>(dst)] +=
           std::min(config_.parallel_copies, n);
-      const JobSpec& spec = *s.red_spec[i];
+      const JobSpec& spec = *s.reds.spec[i];
       cluster::NetFlow flow;
       flow.dst = dst;
       flow.src = kInvalidNode;  // diffuse pull from every node
@@ -274,11 +220,11 @@ void Runtime::shard_collect_flows(ShardScratch& s) {
       s.flow_entry.push_back(i);
       s.flow_is_shuffle.push_back(1);
     }
-    const std::uint32_t me = s.map_range[li].second;
+    const std::uint32_t me = s.maps.range[li].second;
     for (; rp < s.remote_entries.size() && s.remote_entries[rp] < me; ++rp) {
       const std::uint32_t i = s.remote_entries[rp];
-      const MapTask& task = *s.map_task[i];
-      const JobSpec& spec = *s.map_spec[i];
+      const MapTask& task = *s.maps.task[i];
+      const JobSpec& spec = *s.maps.spec[i];
       const auto& node_spec = config_.cluster.workers[static_cast<std::size_t>(dst)];
       const double cpu_per_byte =
           per_mib_to_per_byte(spec.map_cpu_per_mib) * task.cost_factor;
@@ -309,7 +255,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
   s.shuffle_disk_demand.assign(local_n, 0.0);
   for (std::size_t f = 0; f < s.flows.size(); ++f) {
     if (!s.flow_is_shuffle[f]) continue;
-    const JobSpec& spec = *s.red_spec[s.flow_entry[f]];
+    const JobSpec& spec = *s.reds.spec[s.flow_entry[f]];
     s.shuffle_disk_demand[static_cast<std::size_t>(s.flows[f].dst) - lo] +=
         t.net_rates[s.flow_base + f] * spec.shuffle_disk_factor;
   }
@@ -334,7 +280,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
   s.background.assign(local_n, cluster::BackgroundLoad{});
   for (std::size_t f = 0; f < s.flows.size(); ++f) {
     if (!s.flow_is_shuffle[f]) continue;
-    const JobSpec& spec = *s.red_spec[s.flow_entry[f]];
+    const JobSpec& spec = *s.reds.spec[s.flow_entry[f]];
     auto& bg = s.background[static_cast<std::size_t>(s.flows[f].dst) - lo];
     bg.cpu_cores +=
         t.net_rates[s.flow_base + f] * per_mib_to_per_byte(spec.shuffle_cpu_per_mib);
@@ -372,13 +318,13 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
       const std::vector<double>& cache = node_rates_cache_[d];
       if (cache.empty()) continue;  // no loads last tick, none now
       std::size_t k = 0;
-      const auto [mb, me] = s.map_range[li];
+      const auto [mb, me] = s.maps.range[li];
       for (std::uint32_t i = mb; i < me; ++i) {
         s.compute.push_back({i, true, cache[k++]});
       }
-      const auto [rb, re] = s.red_range[li];
+      const auto [rb, re] = s.reds.range[li];
       for (std::uint32_t i = rb; i < re; ++i) {
-        if (s.red_task[i]->phase == ReducePhase::kShuffling) continue;
+        if (s.reds.task[i]->phase == ReducePhase::kShuffling) continue;
         s.compute.push_back({i, false, cache[k++]});
       }
       SMR_CHECK(k == cache.size());
@@ -391,16 +337,16 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
     s.loads.clear();
     s.load_entry.clear();
     s.load_is_map.clear();
-    const auto [mb, me] = s.map_range[li];
+    const auto [mb, me] = s.maps.range[li];
     for (std::uint32_t i = mb; i < me; ++i) {
-      const MapTask& task = *s.map_task[i];
-      const JobSpec& spec = *s.map_spec[i];
+      const MapTask& task = *s.maps.task[i];
+      const JobSpec& spec = *s.maps.spec[i];
       cluster::PhaseLoad load;
       if (task.phase == MapPhase::kMapping) {
         load.cpu_per_byte = per_mib_to_per_byte(spec.map_cpu_per_mib) * task.cost_factor;
         load.disk_per_byte = task.local ? 1.0 : 0.0;
         if (!task.local) {
-          const auto id = static_cast<std::size_t>(s.map_id[i]);
+          const auto id = static_cast<std::size_t>(s.maps.id[i]);
           load.rate_cap = net_grant_epoch_[id] == net_grant_cur_epoch_
                               ? net_grant_rate_[id]
                               : 0.0;
@@ -419,10 +365,10 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
       s.load_entry.push_back(i);
       s.load_is_map.push_back(1);
     }
-    const auto [rb, re] = s.red_range[li];
+    const auto [rb, re] = s.reds.range[li];
     for (std::uint32_t i = rb; i < re; ++i) {
-      const ReduceTask& task = *s.red_task[i];
-      const JobSpec& spec = *s.red_spec[i];
+      const ReduceTask& task = *s.reds.task[i];
+      const JobSpec& spec = *s.reds.spec[i];
       if (task.phase == ReducePhase::kShuffling) continue;  // network-driven
       cluster::PhaseLoad load;
       if (task.phase == ReducePhase::kSorting) {
@@ -475,8 +421,8 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
 
   for (std::size_t f = 0; f < s.flows.size(); ++f) {
     if (!s.flow_is_shuffle[f]) continue;
-    ReduceTask& task = *s.red_task[s.flow_entry[f]];
-    Job* job = s.red_job[s.flow_entry[f]];
+    ReduceTask& task = *s.reds.task[s.flow_entry[f]];
+    Job* job = s.reds.job[s.flow_entry[f]];
     const double delta =
         std::min(t.net_rates[s.flow_base + f] * dt, task.backlog());
     if (delta <= 0.0) continue;
@@ -487,8 +433,8 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
 
   for (const auto& c : s.compute) {
     if (c.is_map) {
-      MapTask& task = *s.map_task[c.entry];
-      Job* job = s.map_job[c.entry];
+      MapTask& task = *s.maps.task[c.entry];
+      Job* job = s.maps.job[c.entry];
       double advance = std::min(c.rate * dt, task.phase_remaining());
       if (task.phase == MapPhase::kMapping) {
         task.phase_done += advance;
@@ -507,7 +453,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
             mark_owned_dirty(task.node);
             buffer_trace(task.job, task.id, task.node, true, "SPILL");
           } else {
-            s.finished_maps.push_back(s.map_id[c.entry]);
+            s.finished_maps.push_back(s.maps.id[c.entry]);
           }
         }
       } else if (task.phase == MapPhase::kCombining) {
@@ -519,17 +465,17 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
             mark_owned_dirty(task.node);
             buffer_trace(task.job, task.id, task.node, true, "SPILL");
           } else {
-            s.finished_maps.push_back(s.map_id[c.entry]);
+            s.finished_maps.push_back(s.maps.id[c.entry]);
           }
         }
       } else if (task.phase == MapPhase::kSpilling) {
         task.phase_done += advance;
         if (task.phase_remaining() <= kByteEps) {
-          s.finished_maps.push_back(s.map_id[c.entry]);
+          s.finished_maps.push_back(s.maps.id[c.entry]);
         }
       }
     } else {
-      ReduceTask& task = *s.red_task[c.entry];
+      ReduceTask& task = *s.reds.task[c.entry];
       double advance = c.rate * dt;
       const double total = static_cast<double>(task.partition_size);
       if (task.phase == ReducePhase::kSorting) {
@@ -543,7 +489,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
       } else if (task.phase == ReducePhase::kReducing) {
         task.phase_done = std::min(task.phase_done + advance, total);
         if (total - task.phase_done <= kByteEps) {
-          s.finished_reduces.push_back(s.red_id[c.entry]);
+          s.finished_reduces.push_back(s.reds.id[c.entry]);
         }
       }
     }
@@ -551,7 +497,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
 
   // Window-occupancy accounting (deterministic; shard-owned stats row).
   const std::uint64_t entries =
-      static_cast<std::uint64_t>(s.map_id.size() + s.red_id.size());
+      static_cast<std::uint64_t>(s.maps.id.size() + s.reds.id.size());
   s.stat_entries += entries;
   ++s.stat_windows;
   ShardStats& stats = shard_stats_[static_cast<std::size_t>(s.index)];
@@ -596,6 +542,17 @@ void Runtime::on_tick() {
     }
   };
 
+  // Concatenate one id list of every shard and sort it: the shards collect
+  // in node order, and the barrier applies in id order.
+  const auto gather_sorted = [this](std::vector<TaskId> ShardScratch::*list,
+                                    std::vector<TaskId>& out) {
+    out.clear();
+    for (const ShardScratch& s : shards_) {
+      out.insert(out.end(), (s.*list).begin(), (s.*list).end());
+    }
+    std::sort(out.begin(), out.end());
+  };
+
   // --- A. Census windows (re-run after doomed-attempt teardown) ----------
   bool detect_doom = config_.task_fail_rate > 0.0;
   for (;;) {
@@ -603,14 +560,8 @@ void Runtime::on_tick() {
       shard_census(s, detect_doom);
     });
     if (!detect_doom) break;
-    t.doomed_maps.clear();
-    t.doomed_reduces.clear();
-    for (const ShardScratch& s : shards_) {
-      t.doomed_maps.insert(t.doomed_maps.end(), s.doomed_maps.begin(),
-                           s.doomed_maps.end());
-      t.doomed_reduces.insert(t.doomed_reduces.end(), s.doomed_reduces.begin(),
-                              s.doomed_reduces.end());
-    }
+    gather_sorted(&ShardScratch::doomed_maps, t.doomed_maps);
+    gather_sorted(&ShardScratch::doomed_reduces, t.doomed_reduces);
     if (t.doomed_maps.empty() && t.doomed_reduces.empty()) break;
     detect_doom = false;  // one detection round per tick
     fail_doomed_attempts();
@@ -646,7 +597,7 @@ void Runtime::on_tick() {
   for (const ShardScratch& s : shards_) {
     for (std::size_t f = 0; f < s.flows.size(); ++f) {
       if (s.flow_is_shuffle[f]) continue;
-      const auto id = static_cast<std::size_t>(s.map_id[s.flow_entry[f]]);
+      const auto id = static_cast<std::size_t>(s.maps.id[s.flow_entry[f]]);
       net_grant_rate_[id] = t.net_rates[s.flow_base + f];
       net_grant_epoch_[id] = net_grant_cur_epoch_;
     }
@@ -677,57 +628,18 @@ void Runtime::on_tick() {
     s.trace_events.clear();
   }
 
-  // Completions: merge, sort by id, apply (the compute sweep is in node
-  // order, not id order).
-  t.finished_maps.clear();
-  t.finished_reduces.clear();
-  for (const ShardScratch& s : shards_) {
-    t.finished_maps.insert(t.finished_maps.end(), s.finished_maps.begin(),
-                           s.finished_maps.end());
-    t.finished_reduces.insert(t.finished_reduces.end(),
-                              s.finished_reduces.begin(),
-                              s.finished_reduces.end());
-  }
-  std::sort(t.finished_maps.begin(), t.finished_maps.end());
-  std::sort(t.finished_reduces.begin(), t.finished_reduces.end());
-  for (TaskId id : t.finished_maps) {
-    const TaskRef* ref_it = find_task_ref(id);
-    if (ref_it == nullptr) continue;  // shadow retired this tick
-    const TaskRef& ref = *ref_it;
-    if (ref.speculative) {
-      win_speculative(id);
-      continue;
-    }
-    MapTask& task = map_task(id);
-    if (task.phase == MapPhase::kDone) continue;  // shadow won this tick
-    complete_map(job_of(task.job), task, id);
-  }
-  for (TaskId id : t.finished_reduces) {
-    const TaskRef* ref_it = find_task_ref(id);
-    if (ref_it == nullptr) continue;  // shadow retired this tick
-    if (ref_it->speculative) {
-      win_speculative_reduce(id);
-      continue;
-    }
-    ReduceTask& task = reduce_task(id);
-    if (task.phase == ReducePhase::kDone) continue;  // shadow won this tick
-    complete_reduce(job_of(task.job), task, id);
-  }
+  // Completions, in id order.
+  gather_sorted(&ShardScratch::finished_maps, t.finished_maps);
+  gather_sorted(&ShardScratch::finished_reduces, t.finished_reduces);
+  finish_attempts<MapTask>(t.finished_maps);
+  finish_attempts<ReduceTask>(t.finished_reduces);
 
   // Settles: merge the shard candidate lists, sort, apply (must run after
   // map completions so the barrier state is current).  Ascending-id order
   // reproduces the historic jobs-then-partitions scan, primaries before
   // shadows.
-  t.settle_primaries.clear();
-  t.settle_shadows.clear();
-  for (const ShardScratch& s : shards_) {
-    t.settle_primaries.insert(t.settle_primaries.end(),
-                              s.settle_primaries.begin(),
-                              s.settle_primaries.end());
-    t.settle_shadows.insert(t.settle_shadows.end(), s.settle_shadows.begin(),
-                            s.settle_shadows.end());
-  }
-  std::sort(t.settle_primaries.begin(), t.settle_primaries.end());
+  gather_sorted(&ShardScratch::settle_primaries, t.settle_primaries);
+  gather_sorted(&ShardScratch::settle_shadows, t.settle_shadows);
   for (TaskId id : t.settle_primaries) {
     const TaskRef& ref = task_refs_[static_cast<std::size_t>(id)];
     Job& job = jobs_[static_cast<std::size_t>(ref.job)];
@@ -737,17 +649,13 @@ void Runtime::on_tick() {
     if (!task.running() || task.phase != ReducePhase::kShuffling) continue;
     settle_reduce(job, task);
   }
-  if (!t.settle_shadows.empty()) {
-    std::sort(t.settle_shadows.begin(), t.settle_shadows.end());
-    for (TaskId id : t.settle_shadows) {
-      // The shadow may have been retired by a primary completing above.
-      const TaskRef* ref = find_task_ref(id);
-      if (ref == nullptr) continue;
-      ReduceTask& task =
-          reduce_shadow_pool_[static_cast<std::size_t>(ref->shadow_slot)];
-      if (task.phase != ReducePhase::kShuffling) continue;
-      settle_reduce(job_of(task.job), task);
-    }
+  for (TaskId id : t.settle_shadows) {
+    // The shadow may have been retired by a primary completing above.
+    const TaskRef* ref = find_task_ref(id);
+    if (ref == nullptr) continue;
+    ReduceTask& task = attempt_at<ReduceTask>(*ref);
+    if (task.phase != ReducePhase::kShuffling) continue;
+    settle_reduce(job_of(task.job), task);
   }
 
   check_all_done();
