@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <string_view>
 
 #include "smr/common/error.hpp"
@@ -83,8 +84,17 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kJsonMaxDepth) {
+          return fail("nesting deeper than " + std::to_string(kJsonMaxDepth) +
+                      " levels");
+        }
+        ++depth_;
+        auto value = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return parse_string();
       case 't':
         return parse_literal("true", JsonValue(true));
@@ -292,6 +302,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open around pos_
   std::string error_;
 };
 

@@ -76,8 +76,14 @@ class JsonValue {
   std::shared_ptr<JsonObject> object_;
 };
 
+/// Deepest array/object nesting the parser accepts.  The parser recurses
+/// once per level, so a deeper document is rejected as malformed instead of
+/// overflowing the stack.
+inline constexpr int kJsonMaxDepth = 512;
+
 /// Parses exactly one JSON document from `text` (trailing whitespace
-/// allowed).  Returns nullopt with a message in *error on malformed input.
+/// allowed).  Returns nullopt with a message in *error on malformed input,
+/// nesting deeper than kJsonMaxDepth included.
 std::optional<JsonValue> parse_json(const std::string& text,
                                     std::string* error = nullptr);
 

@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "smr/common/error.hpp"
+#include "smr/common/text_out.hpp"
 
 namespace smr::serve {
 
@@ -75,15 +76,17 @@ double BurnRateTracker::burn_rate(int tenant) const {
 }
 
 void BurnRateTracker::write_alerts_jsonl(std::ostream& out) const {
+  TextOut w(out);
   for (const BurnAlert& a : alerts_) {
-    out << "{\"type\":\"slo_alert\",\"time\":" << a.time
-        << ",\"tenant\":" << a.tenant << ",\"tenant_name\":\"" << a.tenant_name
-        << "\",\"burn_rate\":" << a.burn_rate
-        << ",\"miss_fraction\":" << a.miss_fraction
-        << ",\"window_samples\":" << a.window_samples
-        << ",\"window\":" << config_.window
-        << ",\"target\":" << config_.target
-        << ",\"threshold\":" << config_.threshold << "}\n";
+    w << "{\"type\":\"slo_alert\",\"time\":" << a.time
+      << ",\"tenant\":" << a.tenant << ",\"tenant_name\":";
+    w.json_string(a.tenant_name);
+    w << ",\"burn_rate\":" << a.burn_rate
+      << ",\"miss_fraction\":" << a.miss_fraction
+      << ",\"window_samples\":" << a.window_samples
+      << ",\"window\":" << config_.window
+      << ",\"target\":" << config_.target
+      << ",\"threshold\":" << config_.threshold << "}\n";
   }
 }
 

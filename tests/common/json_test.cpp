@@ -100,6 +100,28 @@ TEST(Json, RejectsMalformedInputWithAMessage) {
   EXPECT_FALSE(parse_json("{'single':1}", &error).has_value());
 }
 
+TEST(Json, RejectsNestingPastTheDepthLimit) {
+  const auto arrays = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(parse_json(arrays(kJsonMaxDepth)).has_value());
+  std::string error;
+  EXPECT_FALSE(parse_json(arrays(kJsonMaxDepth + 1), &error).has_value());
+  EXPECT_NE(error.find("nesting deeper than 512 levels"), std::string::npos)
+      << error;
+  std::string objects;
+  for (int i = 0; i <= kJsonMaxDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(static_cast<std::size_t>(kJsonMaxDepth) + 1, '}');
+  error.clear();
+  EXPECT_FALSE(parse_json(objects, &error).has_value());
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+  // Far past the limit and unterminated: an error, not a stack overflow.
+  error.clear();
+  EXPECT_FALSE(parse_json(std::string(200000, '['), &error).has_value());
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+}
+
 TEST(Jsonl, OneValuePerLineSkippingEmpties) {
   const auto values = parse_jsonl("{\"a\":1}\n\n{\"a\":2}\n");
   ASSERT_TRUE(values.has_value());

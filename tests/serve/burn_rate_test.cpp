@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "smr/common/error.hpp"
+#include "smr/common/json.hpp"
 #include "smr/metrics/trace.hpp"
 #include "smr/obs/metrics_registry.hpp"
 #include "smr/serve/session.hpp"
@@ -95,6 +96,20 @@ TEST(BurnRateTracker, WritesAlertsAsJsonl) {
   EXPECT_NE(jsonl.find("\"tenant_name\":\"gold\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"burn_rate\":10"), std::string::npos);
   EXPECT_NE(jsonl.find("\"threshold\":2"), std::string::npos);
+}
+
+TEST(BurnRateTracker, AlertsJsonlEscapesTenantNames) {
+  const std::string name = "te\"n\t0\\";
+  BurnRateTracker tracker(fast_config(), {name});
+  for (int i = 1; i <= 5; ++i) tracker.record(0, static_cast<double>(i), false);
+  std::ostringstream out;
+  tracker.write_alerts_jsonl(out);
+  std::string error;
+  const auto lines = parse_jsonl(out.str(), &error);
+  ASSERT_TRUE(lines.has_value()) << error << "\n" << out.str();
+  ASSERT_EQ(lines->size(), 1u);
+  EXPECT_EQ((*lines)[0].string_or("tenant_name", ""), name);
+  EXPECT_DOUBLE_EQ((*lines)[0].number_or("burn_rate", 0.0), 10.0);
 }
 
 TEST(BurnRateConfig, ValidatesBounds) {

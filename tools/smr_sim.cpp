@@ -242,8 +242,12 @@ int main(int argc, char** argv) {
   // Build the workload.
   std::vector<driver::JobSubmission> submissions;
   if (const std::string path = flags.get_string("workload-csv"); !path.empty()) {
-    for (auto& job : workload::load_jobs_csv(path)) {
-      submissions.push_back({std::move(job.spec), job.submit_at});
+    try {
+      for (auto& job : workload::load_jobs_csv(path)) {
+        submissions.push_back({std::move(job.spec), job.submit_at});
+      }
+    } catch (const SmrError& e) {
+      return fail(e.what());
     }
     if (submissions.empty()) return fail("no jobs in " + path);
   } else if (flags.get_bool("synthetic")) {
