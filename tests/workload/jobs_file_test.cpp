@@ -60,6 +60,15 @@ TEST(JobsCsv, RejectsMalformedNumbers) {
   EXPECT_THROW(parse_jobs_csv(zero_input), SmrError);
 }
 
+TEST(JobsCsv, RejectsNonFiniteAndOverflowingNumbers) {
+  for (const char* row : {"grep,inf,0\n", "grep,1e400,0\n", "grep,nan,0\n",
+                          "grep,8,nan\n", "grep,8,inf\n", "grep,1e12,0\n",
+                          "grep,8,0,1e10\n", "grep,8,0,-3\n"}) {
+    std::istringstream in(row);
+    EXPECT_THROW(parse_jobs_csv(in), SmrError) << row;
+  }
+}
+
 TEST(JobsCsv, RejectsWrongFieldCount) {
   std::istringstream too_few("grep,8\n");
   EXPECT_THROW(parse_jobs_csv(too_few), SmrError);
