@@ -17,6 +17,10 @@ bool pending_later(const std::pair<SimTime, std::size_t>& a,
                    const std::pair<SimTime, std::size_t>& b) {
   return a.first > b.first || (a.first == b.first && a.second > b.second);
 }
+
+obs::JobLabel label_of(const Job& job) {
+  return {job.id, job.spec.name, job.submit_time};
+}
 }  // namespace
 
 void RuntimeConfig::validate() const {
@@ -164,8 +168,7 @@ JobId Runtime::submit(const JobSpec& spec, SimTime at) {
     const JobId id = jobs_.back().id;
     engine_.schedule_at(at, [this, id] {
       --jobs_not_yet_submitted_;
-      trace_event(metrics::TraceEventKind::kJobSubmitted, id, kInvalidTask,
-                  kInvalidNode, true);
+      recorder_.job_submitted(engine_.now(), id);
     });
   }
   return jobs_.back().id;
@@ -180,14 +183,7 @@ metrics::RunResult Runtime::run() {
   policy_->on_start(trackers());
   // Seed the slot-target counter tracks at their initial values so the
   // trace timeline starts at t = 0 rather than the first change.
-  if (trace_ != nullptr) {
-    trace_event(metrics::TraceEventKind::kSlotTargetChanged, kInvalidJob,
-                kInvalidTask, kInvalidNode, true, "map",
-                static_cast<double>(total_map_target()));
-    trace_event(metrics::TraceEventKind::kSlotTargetChanged, kInvalidJob,
-                kInvalidTask, kInvalidNode, false, "reduce",
-                static_cast<double>(total_reduce_target()));
-  }
+  record_slot_targets();
 
   periodic_events_.push_back(
       engine_.schedule_periodic(config_.tick, config_.tick, [this] { on_tick(); }));
@@ -210,8 +206,7 @@ metrics::RunResult Runtime::run() {
     const JobId id = job.id;
     engine_.schedule_at(job.submit_time, [this, id] {
       --jobs_not_yet_submitted_;
-      trace_event(metrics::TraceEventKind::kJobSubmitted, id, kInvalidTask,
-                  kInvalidNode, true);
+      recorder_.job_submitted(engine_.now(), id);
     });
   }
 
@@ -273,14 +268,7 @@ metrics::RunResult Runtime::run() {
   } else {
     result_.makespan = config_.time_limit;
   }
-  if (spans_ != nullptr && run_span_ != obs::kInvalidSpan) {
-    // Close whatever the run left open: the run root always, plus phases
-    // and attempts when the time limit truncated it (abort_run already
-    // flushed its own spans at the abort instant).
-    spans_->close_open(result_.makespan, result_.completed
-                                             ? obs::SpanOutcome::kOk
-                                             : obs::SpanOutcome::kAborted);
-  }
+  recorder_.run_end(result_.makespan, result_.completed);
   result_.engine_events = engine_.dispatched();
   const cluster::MaxMinSolver::Stats solver = solver_stats();
   result_.solver_calls = solver.calls;
@@ -428,22 +416,17 @@ void Runtime::complete_task(Job& job, Task& task, TaskId attempt_id) {
   if (has_shadow(task.id)) kill_shadow(task);
   task.phase = Kind::kDone;
   task.finish_time = engine_.now();
-  if (metrics_ != nullptr) {
-    metrics_->histogram(Kind::kDurationHistogram, obs::kDurationBounds)
-        .observe(task.finish_time - task.start_time);
-  }
-  trace_event(metrics::TraceEventKind::kTaskFinished, job.id, task.id,
-              task.node, Kind::kIsMap);
-  span_attempt_ended(attempt_id, obs::SpanOutcome::kOk);
+  recorder_.attempt_finished(task.finish_time, job.id, task.id, attempt_id,
+                             task.node, Kind::kIsMap,
+                             task.finish_time - task.start_time);
   Kind::finish(trackers_[static_cast<std::size_t>(task.node)], attempt_id);
   ++Kind::finished(job);
   task_completed(job, task);
 }
 
 void Runtime::task_completed(Job& job, const MapTask& task) {
-  if (spans_ != nullptr && !job.maps.empty() &&
-      job.map_completion_fraction() >= config_.reduce_slowstart) {
-    span_reduce_eligible(job);
+  if (job.map_completion_fraction() >= config_.reduce_slowstart) {
+    recorder_.reduce_eligible(engine_.now(), label_of(job));
   }
   job.map_output_produced += static_cast<double>(task.output_size);
   cum_map_output_ += static_cast<double>(task.output_size);
@@ -466,9 +449,7 @@ void Runtime::task_completed(Job& job, const MapTask& task) {
       reduce.available = static_cast<double>(reduce.partition_size);
       reduce.fetched = std::min(reduce.fetched, reduce.available);
     }
-    trace_event(metrics::TraceEventKind::kBarrierCrossed, job.id, kInvalidTask,
-                kInvalidNode, true);
-    span_barrier_crossed(job);
+    recorder_.barrier_crossed(engine_.now(), label_of(job));
     SMR_DEBUG("job " << job.spec.name << " crossed the barrier at "
                      << format_duration(engine_.now()));
   }
@@ -486,9 +467,7 @@ void Runtime::settle_reduce(Job& job, ReduceTask& task) {
   task.phase = ReducePhase::kSorting;
   task.phase_done = 0.0;
   mark_node_dirty(task.node);
-  trace_event(metrics::TraceEventKind::kPhaseStarted, task.job, task.id,
-              task.node, false, "SORT");
-  span_shuffle_settled(job, task.id);
+  recorder_.shuffle_settled(engine_.now(), task.job, task.id, task.node);
   if (task.partition_size == 0) {
     // Nothing to sort or reduce; the task completes immediately (zero-size
     // partitions never have speculative shadows).
@@ -502,9 +481,7 @@ void Runtime::task_completed(Job& job, const ReduceTask& /*task*/) {
     job.finish_time = engine_.now();
     --unfinished_jobs_;
     deactivate_job(job.id);
-    trace_event(metrics::TraceEventKind::kJobFinished, job.id, kInvalidTask,
-                kInvalidNode, true);
-    span_job_finished(job, obs::SpanOutcome::kOk);
+    recorder_.job_finished(engine_.now(), label_of(job));
     SMR_INFO("job " << job.spec.name << " finished at "
                     << format_duration(engine_.now()));
     if (on_job_finished_) on_job_finished_(job);
@@ -547,12 +524,11 @@ void Runtime::abort_run(std::string reason) {
   }
   // Graceful-degradation flush: the samplers above are dead, so leave the
   // obs sinks complete as of the abort instant — one final metric sample,
-  // any policy decisions not yet mirrored into the trace, and every span
-  // closed (kAborted).  The decision/trace logs themselves are append-only
-  // and already consistent.
-  record_metric_samples(abort_time_);
-  span_refresh_decisions();
-  span_flush_aborted();
+  // the span annotations caught up with the policy's decisions, and every
+  // span closed (kAborted).  The decision/trace logs themselves are
+  // append-only and already consistent.
+  record_sample(slot_totals(abort_time_));
+  recorder_.abort(abort_time_, policy_->decision_log());
 }
 
 // ---------------------------------------------------------------------------
@@ -572,12 +548,10 @@ void Runtime::on_heartbeat(std::size_t tracker_index) {
   if (policy_->wants_heartbeat_stats()) snapshot_into(hb_stats_);
   const ClusterStats& stats = hb_stats_;
   // Heartbeat-level policies (YARN's capacity accounting) adjust targets
-  // here; watch the cluster totals so the counter tracks stay truthful.
-  const int prev_map_total = trace_ != nullptr ? total_map_target() : 0;
-  const int prev_reduce_total = trace_ != nullptr ? total_reduce_target() : 0;
+  // here; report the cluster totals so the counter tracks stay truthful.
   policy_->on_heartbeat(tracker, stats);
-  if (trace_ != nullptr) trace_slot_targets(prev_map_total, prev_reduce_total);
-  if (metrics_ != nullptr) metrics_->counter("heartbeats.processed").inc();
+  record_slot_targets();
+  recorder_.heartbeat();
   // A blacklisted tracker still heartbeats (its statistics stay fresh and
   // running tasks drain lazily) but takes no new assignments.
   if (tracker.blacklisted()) return;
@@ -642,10 +616,8 @@ void Runtime::requeue_running(Task& task) {
   // Roll the fluid accounting back: the partial work no longer counts (a
   // reduce's fetched bytes sat on the lost node's disk).
   rollback_progress(task);
-  trace_event(metrics::TraceEventKind::kTaskKilled, task.job, task.id,
-              task.node, Kind::kIsMap);
-  span_mark_retry(task.id, task.id);
-  span_attempt_ended(task.id, obs::SpanOutcome::kKilled);
+  recorder_.attempt_killed(engine_.now(), task.job, task.id, task.node,
+                           Kind::kIsMap, obs::KillCause::kRequeued);
   Kind::finish(trackers_[static_cast<std::size_t>(task.node)], task.id);
   Kind::reset(task);
   --Kind::assigned(job);
@@ -671,12 +643,7 @@ void Runtime::lose_running(std::vector<TaskId> running) {
 
 void Runtime::requeue_completed_map(Job& job, MapTask& task) {
   SMR_CHECK(task.phase == MapPhase::kDone);
-  trace_event(metrics::TraceEventKind::kTaskKilled, task.job, task.id,
-              task.node, true);
-  // The re-execution is causally a retry of the (successfully completed,
-  // then lost) attempt; its span is already closed, so link via the
-  // last-attempt record.
-  span_mark_retry(task.id, task.id);
+  recorder_.completed_map_lost(engine_.now(), task.job, task.id, task.node);
   --job.maps_finished;
   --job.maps_assigned;
   rollback_progress(task);  // all of its input, the task being done
@@ -706,12 +673,8 @@ void Runtime::fail_node(NodeId node) {
   SMR_CHECK(node >= 0 && static_cast<std::size_t>(node) < node_alive_.size());
   SMR_CHECK_MSG(node_alive_[static_cast<std::size_t>(node)],
                 "node " << node << " failed twice");
-  const int prev_map_total = trace_ != nullptr ? total_map_target() : 0;
-  const int prev_reduce_total = trace_ != nullptr ? total_reduce_target() : 0;
   node_alive_[static_cast<std::size_t>(node)] = false;
-  trace_event(metrics::TraceEventKind::kNodeFailed, kInvalidJob, kInvalidTask,
-              node, true);
-  if (metrics_ != nullptr) metrics_->counter("nodes.failed").inc();
+  recorder_.node_failed(engine_.now(), node);
   TaskTracker& tracker = trackers_[static_cast<std::size_t>(node)];
   SMR_WARN("node " << node << " failed at " << format_duration(engine_.now()));
 
@@ -726,7 +689,7 @@ void Runtime::fail_node(NodeId node) {
   // slot-target counter tracks) reflect live capacity only.
   tracker.set_map_target(0);
   tracker.set_reduce_target(0);
-  if (trace_ != nullptr) trace_slot_targets(prev_map_total, prev_reduce_total);
+  record_slot_targets();
 
   // Kill everything running there (copies: killing mutates the lists).
   lose_running<MapTask>(tracker.running_map_tasks());
@@ -775,8 +738,6 @@ void Runtime::recover_node(NodeId node) {
   SMR_CHECK(node >= 0 && static_cast<std::size_t>(node) < node_alive_.size());
   SMR_CHECK_MSG(!node_alive_[static_cast<std::size_t>(node)],
                 "node " << node << " recovered while alive");
-  const int prev_map_total = trace_ != nullptr ? total_map_target() : 0;
-  const int prev_reduce_total = trace_ != nullptr ? total_reduce_target() : 0;
   node_alive_[static_cast<std::size_t>(node)] = true;
   TaskTracker& tracker = trackers_[static_cast<std::size_t>(node)];
   // A fresh tracker process rejoins: no running tasks (the failure already
@@ -785,11 +746,9 @@ void Runtime::recover_node(NodeId node) {
   node_attempt_failures_[static_cast<std::size_t>(node)] = 0;
   tracker.set_map_target(config_.initial_map_slots);
   tracker.set_reduce_target(config_.initial_reduce_slots);
-  if (trace_ != nullptr) trace_slot_targets(prev_map_total, prev_reduce_total);
+  record_slot_targets();
   ++nodes_recovered_;
-  trace_event(metrics::TraceEventKind::kNodeRecovered, kInvalidJob,
-              kInvalidTask, node, true);
-  if (metrics_ != nullptr) metrics_->counter("nodes.recovered").inc();
+  recorder_.node_recovered(engine_.now(), node);
   SMR_INFO("node " << node << " recovered at " << format_duration(engine_.now()));
   // Resume the heartbeat on this tracker's original stagger grid, at the
   // first grid point after the recovery instant.  The parked periodic
@@ -859,22 +818,17 @@ void Runtime::fail_attempt(TaskId id) {
   const NodeId node = attempt<Task>(id).node;
   ++task_attempt_failures_;
   ++primary.failed_attempts;
-  if (metrics_ != nullptr) metrics_->counter(Kind::kFailureCounter).inc();
-  trace_event(metrics::TraceEventKind::kTaskAttemptFailed, job.id, id, node,
-              Kind::kIsMap, ref.speculative ? "injected-speculative" : "injected",
-              static_cast<double>(primary.failed_attempts));
-  // Close the span as kFailed before the requeue/kill path (whose own
-  // close would report kKilled); mark the retry link for a relaunch.
-  if (!ref.speculative) span_mark_retry(primary.id, id);
-  span_attempt_ended(id, obs::SpanOutcome::kFailed);
+  const bool retried =
+      !ref.speculative && primary.failed_attempts < config_.max_attempts;
+  recorder_.attempt_failed(engine_.now(), job.id, id, primary.id, node,
+                           Kind::kIsMap, primary.failed_attempts, retried);
   if (ref.speculative) {
     // The shadow dies; the primary keeps running (but the failure counts
     // against the shared attempt budget, as in Hadoop).
     kill_shadow(primary);
-  } else if (primary.failed_attempts < config_.max_attempts) {
+  } else if (retried) {
     requeue_running(primary);  // emits TASK_KILLED, frees the slot
     ++task_retries_;
-    if (metrics_ != nullptr) metrics_->counter("tasks.retries").inc();
   }
   record_attempt_failure_on(node);
   if (primary.failed_attempts >= config_.max_attempts) {
@@ -896,15 +850,10 @@ void Runtime::record_attempt_failure_on(NodeId node) {
     if (node_alive_[i] && !trackers_[i].blacklisted()) ++healthy;
   }
   if (healthy <= 1) return;
-  const int prev_map_total = trace_ != nullptr ? total_map_target() : 0;
-  const int prev_reduce_total = trace_ != nullptr ? total_reduce_target() : 0;
   trackers_[n].set_blacklisted(true);
-  if (trace_ != nullptr) trace_slot_targets(prev_map_total, prev_reduce_total);
+  record_slot_targets();
   ++nodes_blacklisted_;
-  trace_event(metrics::TraceEventKind::kNodeBlacklisted, kInvalidJob,
-              kInvalidTask, node, true, "",
-              static_cast<double>(node_attempt_failures_[n]));
-  if (metrics_ != nullptr) metrics_->counter("nodes.blacklisted").inc();
+  recorder_.node_blacklisted(engine_.now(), node, node_attempt_failures_[n]);
   SMR_WARN("node " << node << " blacklisted after " << node_attempt_failures_[n]
                    << " attempt failures at " << format_duration(engine_.now()));
 }
@@ -927,10 +876,7 @@ void Runtime::fail_job(Job& job, std::string reason) {
   --unfinished_jobs_;
   deactivate_job(job.id);
   ++failed_jobs_;
-  trace_event(metrics::TraceEventKind::kJobFailed, job.id, kInvalidTask,
-              kInvalidNode, true, job.failure_reason.c_str());
-  span_job_finished(job, obs::SpanOutcome::kFailed);
-  if (metrics_ != nullptr) metrics_->counter("jobs.failed").inc();
+  recorder_.job_failed(engine_.now(), label_of(job), job.failure_reason);
   if (on_job_finished_) on_job_finished_(job);
   check_all_done();  // this may have been the last unfinished job
 }
@@ -940,65 +886,29 @@ void Runtime::on_policy_period() {
   const obs::DecisionLog* decisions = policy_->decision_log();
   const std::size_t decisions_before =
       decisions != nullptr ? decisions->size() : 0;
-  const int prev_map_total = trace_ != nullptr ? total_map_target() : 0;
-  const int prev_reduce_total = trace_ != nullptr ? total_reduce_target() : 0;
-
   policy_->on_period(trackers(), snapshot());
-
-  span_refresh_decisions();
-  if (metrics_ != nullptr) metrics_->counter("policy.periods").inc();
-  if (trace_ != nullptr) {
-    trace_slot_targets(prev_map_total, prev_reduce_total);
-    // Mirror freshly appended audit records into the trace so Perfetto
-    // shows the control loop's reasoning next to the task slices.
-    if (decisions != nullptr) {
-      for (std::size_t i = decisions_before; i < decisions->size(); ++i) {
-        const obs::SlotDecision& d = decisions->decisions()[i];
-        std::string detail = obs::to_string(d.action);
-        if (!d.reason.empty()) {
-          detail += ": ";
-          detail += d.reason;
-        }
-        trace_event(metrics::TraceEventKind::kPolicyDecision, kInvalidJob,
-                    kInvalidTask, kInvalidNode, true, detail.c_str(),
-                    d.balance_factor.value_or(0.0));
-      }
-    }
-  }
+  record_slot_targets();
+  recorder_.policy_period(engine_.now(), decisions, decisions_before);
 }
 
-int Runtime::total_map_target() const {
+std::pair<int, int> Runtime::live_slot_targets() const {
   // Live capacity only: dead and blacklisted trackers contribute nothing,
   // whatever stale targets they may carry.
-  int total = 0;
+  std::pair<int, int> totals{0, 0};
   for (std::size_t n = 0; n < trackers_.size(); ++n) {
     if (!node_alive_[n] || trackers_[n].blacklisted()) continue;
-    total += trackers_[n].map_target();
+    totals.first += trackers_[n].map_target();
+    totals.second += trackers_[n].reduce_target();
   }
-  return total;
+  return totals;
 }
 
-int Runtime::total_reduce_target() const {
-  int total = 0;
-  for (std::size_t n = 0; n < trackers_.size(); ++n) {
-    if (!node_alive_[n] || trackers_[n].blacklisted()) continue;
-    total += trackers_[n].reduce_target();
-  }
-  return total;
-}
-
-void Runtime::trace_slot_targets(int prev_map_total, int prev_reduce_total) {
-  if (const int now_map = total_map_target(); now_map != prev_map_total) {
-    trace_event(metrics::TraceEventKind::kSlotTargetChanged, kInvalidJob,
-                kInvalidTask, kInvalidNode, true, "map",
-                static_cast<double>(now_map));
-  }
-  if (const int now_reduce = total_reduce_target();
-      now_reduce != prev_reduce_total) {
-    trace_event(metrics::TraceEventKind::kSlotTargetChanged, kInvalidJob,
-                kInvalidTask, kInvalidNode, false, "reduce",
-                static_cast<double>(now_reduce));
-  }
+void Runtime::record_slot_targets() {
+  // Every change of a target, a liveness or a blacklist flag is followed
+  // by this call, so the recorder's last totals are the ones before it.
+  if (!recorder_.tracing()) return;
+  const auto [map_total, reduce_total] = live_slot_targets();
+  recorder_.slot_targets(engine_.now(), map_total, reduce_total);
 }
 
 bool Runtime::job_at_cap(const Job& job, bool for_map) const {
@@ -1144,12 +1054,8 @@ void Runtime::start_attempt(Job& job, Task& task, TaskTracker& tracker,
     ++Kind::assigned(job);
     if (!job.started()) job.start_time = now;
   }
-  trace_event(metrics::TraceEventKind::kTaskLaunched, job.id, task.id,
-              tracker.node(), Kind::kIsMap, speculative ? "speculative" : "");
-  trace_event(metrics::TraceEventKind::kPhaseStarted, job.id, task.id,
-              tracker.node(), Kind::kIsMap, Kind::kFirstPhase);
-  span_attempt_launched(task.id, job, tracker.node(), Kind::kIsMap,
-                        speculative, primary);
+  recorder_.attempt_launched(now, label_of(job), task.id, primary,
+                             tracker.node(), Kind::kIsMap);
 }
 
 bool Runtime::prepare_shadow(const Job& job, MapTask& shadow) {
@@ -1244,9 +1150,8 @@ void Runtime::kill_shadow(Task& primary) {
   Task& shadow = shadows<Task>().slots[static_cast<std::size_t>(ref.shadow_slot)];
   // The shadow's progress was duplicate work: back it out.
   rollback_progress(shadow);
-  trace_event(metrics::TraceEventKind::kTaskKilled, shadow.job, shadow_id,
-              shadow.node, TaskKind<Task>::kIsMap, "speculative");
-  span_attempt_ended(shadow_id, obs::SpanOutcome::kKilled);
+  recorder_.attempt_killed(engine_.now(), shadow.job, shadow_id, shadow.node,
+                           TaskKind<Task>::kIsMap, obs::KillCause::kShadowRetired);
   TaskKind<Task>::finish(trackers_[static_cast<std::size_t>(shadow.node)],
                          shadow_id);
   set_shadow_link(primary.id, kInvalidTask);
@@ -1267,9 +1172,8 @@ void Runtime::win_speculative(TaskId shadow_id) {
 
   // The original attempt loses: discard its partial work and free it.
   rollback_progress(primary);
-  trace_event(metrics::TraceEventKind::kTaskKilled, job.id, primary.id,
-              primary.node, Kind::kIsMap, "lost-race");
-  span_attempt_ended(primary.id, obs::SpanOutcome::kKilled);
+  recorder_.attempt_killed(engine_.now(), job.id, primary.id, primary.node,
+                           Kind::kIsMap, obs::KillCause::kLostRace);
   Kind::finish(trackers_[static_cast<std::size_t>(primary.node)], primary.id);
 
   // The task completes where the shadow ran.
@@ -1312,15 +1216,8 @@ void Runtime::on_sample() {
     sample.reduce_pct = 100.0 * job.reduce_progress();
     result_.progress[j].push_back(sample);
   }
-  metrics::SlotSample slot_sample;
-  slot_sample.time = now;
-  for (const auto& tracker : trackers_) {
-    slot_sample.map_target += tracker.map_target();
-    slot_sample.reduce_target += tracker.reduce_target();
-    slot_sample.running_maps += tracker.running_maps();
-    slot_sample.running_reduces += tracker.running_reduces();
-  }
-  record_metric_samples(now);
+  metrics::SlotSample slot_sample = slot_totals(now);
+  record_sample(slot_sample);
   const double nt = static_cast<double>(trackers_.size());
   slot_sample.map_target /= nt;
   slot_sample.reduce_target /= nt;
@@ -1345,27 +1242,24 @@ void Runtime::on_sample() {
   }
 }
 
-void Runtime::record_metric_samples(SimTime now) {
-  if (metrics_ == nullptr) return;
-  // Cluster totals (the per-node averages land in result_.slots instead).
-  double map_target = 0.0;
-  double reduce_target = 0.0;
-  double running_maps = 0.0;
-  double running_reduces = 0.0;
+metrics::SlotSample Runtime::slot_totals(SimTime now) const {
+  metrics::SlotSample totals;
+  totals.time = now;
   for (const auto& tracker : trackers_) {
-    map_target += tracker.map_target();
-    reduce_target += tracker.reduce_target();
-    running_maps += tracker.running_maps();
-    running_reduces += tracker.running_reduces();
+    totals.map_target += tracker.map_target();
+    totals.reduce_target += tracker.reduce_target();
+    totals.running_maps += tracker.running_maps();
+    totals.running_reduces += tracker.running_reduces();
   }
-  metrics_->series("slots.map_target").append(now, map_target);
-  metrics_->series("slots.reduce_target").append(now, reduce_target);
-  metrics_->series("tasks.running_maps").append(now, running_maps);
-  metrics_->series("tasks.running_reduces").append(now, running_reduces);
+  return totals;
+}
+
+void Runtime::record_sample(const metrics::SlotSample& totals) {
+  if (!recorder_.metering()) return;
   double pending_maps = 0.0;
   double pending_reduces = 0.0;
   double shuffle_backlog = 0.0;
-  for (const std::size_t j : active_jobs_now(now)) {
+  for (const std::size_t j : active_jobs_now(totals.time)) {
     const Job& job = jobs_[j];
     pending_maps += job.maps_pending();
     pending_reduces += job.reduces_pending();
@@ -1375,266 +1269,8 @@ void Runtime::record_metric_samples(SimTime now) {
       }
     }
   }
-  metrics_->series("queue.pending_maps").append(now, pending_maps);
-  metrics_->series("queue.pending_reduces").append(now, pending_reduces);
-  metrics_->series("shuffle.bytes_in_flight").append(now, shuffle_backlog);
-}
-
-void Runtime::trace_event(metrics::TraceEventKind kind, JobId job, TaskId task,
-                          NodeId node, bool is_map, const char* detail,
-                          double value) {
-  // Every launch and kill flows through here, so the control-plane counters
-  // live here rather than at each call site.
-  if (metrics_ != nullptr) {
-    switch (kind) {
-      case metrics::TraceEventKind::kTaskLaunched:
-        metrics_
-            ->counter(is_map ? "tasks.map_launches" : "tasks.reduce_launches")
-            .inc();
-        break;
-      case metrics::TraceEventKind::kTaskKilled:
-        metrics_->counter("tasks.kills").inc();
-        break;
-      default:
-        break;
-    }
-  }
-  if (trace_ == nullptr) return;
-  metrics::TraceEvent event;
-  event.time = engine_.now();
-  event.kind = kind;
-  event.job = job;
-  event.task = task;
-  event.node = node;
-  event.is_map = is_map;
-  event.detail = detail;
-  event.value = value;
-  trace_->record(event);
-}
-
-// ---------------------------------------------------------------------------
-// Span recording.  Everything here is purely observational: no RNG draws,
-// no events, no reads that feed back into scheduling — a run with a
-// SpanLog attached is bit-identical to one without.
-// ---------------------------------------------------------------------------
-
-obs::SpanId Runtime::span_run_root() {
-  if (run_span_ == obs::kInvalidSpan) {
-    run_span_ = spans_->open(obs::SpanKind::kRun, "run", 0.0);
-  }
-  return run_span_;
-}
-
-Runtime::JobSpanState* Runtime::span_job_state(const Job& job) {
-  if (spans_ == nullptr) return nullptr;
-  const auto slot = static_cast<std::size_t>(job.id);
-  if (slot >= job_spans_.size()) job_spans_.resize(slot + 1);
-  JobSpanState& state = job_spans_[slot];
-  if (state.job == obs::kInvalidSpan) {
-    state.job = spans_->open(obs::SpanKind::kJob, job.spec.name,
-                             job.submit_time, span_run_root());
-    spans_->at(state.job).job = job.id;
-    // The map phase opens with the job: its tasks are runnable (and
-    // usually waiting for slots) from submission on.
-    state.maps_phase = spans_->open(obs::SpanKind::kPhase, "maps",
-                                    job.submit_time, state.job);
-  }
-  return &state;
-}
-
-void Runtime::span_attempt_launched(TaskId attempt, const Job& job,
-                                    NodeId node, bool is_map, bool speculative,
-                                    TaskId primary) {
-  if (spans_ == nullptr) return;
-  JobSpanState* state = span_job_state(job);
-  const SimTime now = engine_.now();
-  obs::SpanId parent;
-  if (is_map) {
-    if (state->maps_phase == obs::kInvalidSpan) {
-      // The barrier re-opened (a completed map was lost to a node
-      // failure): a fresh map phase carries the re-execution.
-      ++state->maps_phases;
-      state->maps_phase =
-          spans_->open(obs::SpanKind::kPhase,
-                       "maps-" + std::to_string(state->maps_phases), now,
-                       state->job);
-    }
-    if (state->open_map_attempts == 0) {
-      ++state->waves;
-      state->wave = spans_->open(obs::SpanKind::kWave,
-                                 "wave-" + std::to_string(state->waves), now,
-                                 state->maps_phase);
-    }
-    ++state->open_map_attempts;
-    parent = state->wave;
-  } else {
-    if (state->shuffle_phase == obs::kInvalidSpan) {
-      state->shuffle_phase =
-          spans_->open(obs::SpanKind::kPhase, "shuffle", now, state->job);
-      spans_->at(state->shuffle_phase).is_map = false;
-    }
-    parent = state->reduce_phase != obs::kInvalidSpan ? state->reduce_phase
-                                                      : state->shuffle_phase;
-  }
-
-  std::string name = speculative ? "spec-" : "";
-  name += is_map ? "map-" : "reduce-";
-  name += std::to_string(primary);
-  const obs::SpanId id = spans_->open(obs::SpanKind::kAttempt,
-                                      std::move(name), now, parent);
-  obs::Span& span = spans_->at(id);
-  span.task = attempt;
-  span.node = node;
-  span.is_map = is_map;
-  span.speculative = speculative;
-  span.decision_id = last_decision_id_;
-  span.decision_time = last_decision_time_;
-  if (!speculative) {
-    const obs::SpanId retry_of = span_slot_get(retry_parent_, primary);
-    if (retry_of != obs::kInvalidSpan) {
-      span.retry_of = retry_of;
-      span_slot_set(retry_parent_, primary, obs::kInvalidSpan);
-    }
-    span_slot_set(last_attempt_span_, primary, id);
-  }
-  span_slot_set(attempt_spans_, attempt, id);
-}
-
-void Runtime::span_attempt_ended(TaskId attempt, obs::SpanOutcome outcome) {
-  if (spans_ == nullptr) return;
-  const obs::SpanId id = span_slot_get(attempt_spans_, attempt);
-  if (id == obs::kInvalidSpan) return;  // already closed by an earlier path
-  span_slot_set(attempt_spans_, attempt, obs::kInvalidSpan);
-  spans_->close(id, engine_.now(), outcome);
-  const obs::Span& span = spans_->at(id);
-  if (span.is_map) {
-    const auto slot = static_cast<std::size_t>(span.job);
-    if (span.job >= 0 && slot < job_spans_.size() &&
-        job_spans_[slot].job != obs::kInvalidSpan) {
-      JobSpanState& state = job_spans_[slot];
-      if (--state.open_map_attempts == 0 &&
-          state.wave != obs::kInvalidSpan) {
-        spans_->close(state.wave, engine_.now());
-        state.wave = obs::kInvalidSpan;
-      }
-    }
-  }
-}
-
-void Runtime::span_mark_retry(TaskId primary, TaskId failed_attempt) {
-  if (spans_ == nullptr) return;
-  const obs::SpanId open_span = span_slot_get(attempt_spans_, failed_attempt);
-  if (open_span != obs::kInvalidSpan) {
-    span_slot_set(retry_parent_, primary, open_span);
-    return;
-  }
-  // The attempt span is already closed (e.g. a *completed* map lost to
-  // a node failure): link the re-execution to its last recorded span.
-  const obs::SpanId last = span_slot_get(last_attempt_span_, primary);
-  if (last != obs::kInvalidSpan) {
-    span_slot_set(retry_parent_, primary, last);
-  }
-}
-
-void Runtime::span_barrier_crossed(const Job& job) {
-  if (spans_ == nullptr) return;
-  JobSpanState* state = span_job_state(job);
-  const SimTime now = engine_.now();
-  if (state->wave != obs::kInvalidSpan) {
-    spans_->close(state->wave, now);
-    state->wave = obs::kInvalidSpan;
-  }
-  if (state->maps_phase != obs::kInvalidSpan) {
-    spans_->close(state->maps_phase, now);
-    state->maps_phase = obs::kInvalidSpan;
-  }
-  if (state->reduce_phase == obs::kInvalidSpan) {
-    state->reduce_phase =
-        spans_->open(obs::SpanKind::kPhase, "reduce", now, state->job);
-    spans_->at(state->reduce_phase).is_map = false;
-  }
-}
-
-void Runtime::span_reduce_eligible(const Job& job) {
-  if (spans_ == nullptr) return;
-  JobSpanState* state = span_job_state(job);
-  obs::Span& job_span = spans_->at(state->job);
-  if (job_span.reduce_eligible == kTimeNever) {
-    job_span.reduce_eligible = engine_.now();
-  }
-}
-
-void Runtime::span_shuffle_settled(const Job& job, TaskId attempt) {
-  if (spans_ == nullptr) return;
-  const SimTime now = engine_.now();
-  const obs::SpanId id = span_slot_get(attempt_spans_, attempt);
-  if (id != obs::kInvalidSpan) spans_->at(id).shuffle_end = now;
-  const auto slot = static_cast<std::size_t>(job.id);
-  if (slot < job_spans_.size() && job_spans_[slot].job != obs::kInvalidSpan) {
-    job_spans_[slot].last_shuffle_end = now;
-  }
-}
-
-void Runtime::span_job_finished(const Job& job, obs::SpanOutcome outcome) {
-  if (spans_ == nullptr) return;
-  JobSpanState* state = span_job_state(job);
-  const SimTime now = engine_.now();
-  const obs::SpanOutcome phase_outcome =
-      outcome == obs::SpanOutcome::kOk ? obs::SpanOutcome::kOk
-                                       : obs::SpanOutcome::kKilled;
-  if (state->wave != obs::kInvalidSpan) {
-    spans_->close(state->wave, now, phase_outcome);
-    state->wave = obs::kInvalidSpan;
-  }
-  if (state->maps_phase != obs::kInvalidSpan) {
-    spans_->close(state->maps_phase, now, phase_outcome);
-    state->maps_phase = obs::kInvalidSpan;
-  }
-  if (state->shuffle_phase != obs::kInvalidSpan) {
-    // A clean finish dates the shuffle's end at the last settle; a
-    // teardown cuts it off at the teardown instant.
-    const SimTime end = outcome == obs::SpanOutcome::kOk &&
-                                state->last_shuffle_end != kTimeNever
-                            ? state->last_shuffle_end
-                            : now;
-    spans_->close(state->shuffle_phase, end, phase_outcome);
-    state->shuffle_phase = obs::kInvalidSpan;
-  }
-  if (state->reduce_phase != obs::kInvalidSpan) {
-    spans_->close(state->reduce_phase, now, phase_outcome);
-    state->reduce_phase = obs::kInvalidSpan;
-  }
-  spans_->close(state->job, now, outcome);
-}
-
-void Runtime::span_flush_aborted() {
-  if (spans_ == nullptr) return;
-  spans_->close_open(engine_.now(), obs::SpanOutcome::kAborted);
-  attempt_spans_.assign(attempt_spans_.size(), obs::kInvalidSpan);
-  for (auto& state : job_spans_) {
-    if (state.job == obs::kInvalidSpan) continue;
-    state.wave = obs::kInvalidSpan;
-    state.maps_phase = obs::kInvalidSpan;
-    state.shuffle_phase = obs::kInvalidSpan;
-    state.reduce_phase = obs::kInvalidSpan;
-    state.open_map_attempts = 0;
-  }
-}
-
-void Runtime::span_refresh_decisions() {
-  if (spans_ == nullptr) return;
-  const obs::DecisionLog* log = policy_->decision_log();
-  if (log == nullptr) return;
-  const auto& decisions = log->decisions();
-  for (; decisions_seen_ < decisions.size(); ++decisions_seen_) {
-    const obs::SlotDecision& d = decisions[decisions_seen_];
-    // Only decisions that moved slot targets can enable a launch; holds
-    // keep the previous annotation current.
-    if (d.changed_slots()) {
-      last_decision_id_ = d.id;
-      last_decision_time_ = d.time;
-    }
-  }
+  recorder_.sample(totals.time, totals, pending_maps, pending_reduces,
+                   shuffle_backlog);
 }
 
 }  // namespace smr::mapreduce

@@ -37,9 +37,7 @@
 #include "smr/mapreduce/scheduler.hpp"
 #include "smr/mapreduce/tracker.hpp"
 #include "smr/metrics/job_metrics.hpp"
-#include "smr/metrics/trace.hpp"
-#include "smr/obs/metrics_registry.hpp"
-#include "smr/obs/span_log.hpp"
+#include "smr/obs/run_recorder.hpp"
 #include "smr/sim/engine.hpp"
 
 namespace smr {
@@ -171,9 +169,6 @@ struct TaskKind<MapTask> {
   static constexpr bool kIsMap = true;
   static constexpr MapPhase kDone = MapPhase::kDone;
   static constexpr const char* kName = "map";
-  static constexpr const char* kFirstPhase = "MAP";
-  static constexpr const char* kFailureCounter = "tasks.map_attempt_failures";
-  static constexpr const char* kDurationHistogram = "task.map_duration_s";
   static std::vector<MapTask>& tasks(Job& job) { return job.maps; }
   static int& assigned(Job& job) { return job.maps_assigned; }
   static int& finished(Job& job) { return job.maps_finished; }
@@ -208,9 +203,6 @@ struct TaskKind<ReduceTask> {
   static constexpr bool kIsMap = false;
   static constexpr ReducePhase kDone = ReducePhase::kDone;
   static constexpr const char* kName = "reduce";
-  static constexpr const char* kFirstPhase = "SHUFFLE";
-  static constexpr const char* kFailureCounter = "tasks.reduce_attempt_failures";
-  static constexpr const char* kDurationHistogram = "task.reduce_duration_s";
   static std::vector<ReduceTask>& tasks(Job& job) { return job.reduces; }
   static int& assigned(Job& job) { return job.reduces_assigned; }
   static int& finished(Job& job) { return job.reduces_finished; }
@@ -279,29 +271,23 @@ class Runtime {
   /// Execute the simulation to completion (or the time limit); single use.
   metrics::RunResult run();
 
-  /// Attach a trace log (optional; must outlive run()).  Records every job
-  /// submission, task launch, phase transition, completion, kill and
-  /// barrier crossing, plus slot-target counter changes and (when the
-  /// policy keeps a decision log) POLICY_DECISION events.
-  void set_trace(metrics::TraceLog* trace) { trace_ = trace; }
-
-  /// Attach a metrics registry (optional; must outlive run()).  The
-  /// runtime then records sampled time series every sample period
-  /// (slot targets, running tasks, queue depths, shuffle bytes in
-  /// flight), control-plane counters (heartbeats, policy periods, task
-  /// launches/kills) and task-duration histograms.  Metric names are
-  /// documented in docs/OBSERVABILITY.md.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-
-  /// Attach a span log (optional; must outlive run()).  The runtime then
-  /// records the causal span tree — run > job > phase (map waves, shuffle,
-  /// reduce) > task attempt — with retries linked to the attempt whose
-  /// failure caused them and every launch annotated with the most recent
-  /// slot-changing policy decision (when the policy keeps a DecisionLog).
-  /// Recording is purely observational (no RNG draws, no events): a run
-  /// is bit-identical with or without a log attached, and with none the
-  /// hooks reduce to a null-pointer test.
-  void set_spans(obs::SpanLog* spans) { spans_ = spans; }
+  /// Attach observability sinks (each optional; each must outlive run()).
+  /// One obs::RunRecorder feeds all three, one call per fact, and purely
+  /// observationally (no RNG draws, no events): a run is bit-identical with
+  /// any of them attached.
+  ///  * The trace records every job submission, task launch, phase
+  ///    transition, completion, kill and barrier crossing, plus slot-target
+  ///    counter changes and the policy's DecisionLog rows.
+  ///  * The registry gets sampled series (slot targets, running tasks, queue
+  ///    depths, shuffle bytes in flight), control-plane counters and
+  ///    task-duration histograms, named in docs/OBSERVABILITY.md.
+  ///  * The span log gets the causal tree run > job > phase (map waves,
+  ///    shuffle, reduce) > attempt, with retries linked to the attempt whose
+  ///    failure caused them and launches citing the latest slot-changing
+  ///    policy decision.
+  void set_trace(metrics::TraceLog* trace) { recorder_.set_trace(trace); }
+  void set_metrics(obs::MetricsRegistry* metrics) { recorder_.set_metrics(metrics); }
+  void set_spans(obs::SpanLog* spans) { recorder_.set_spans(spans); }
 
   // --- Observers (tests and policies) ---------------------------------
   const RuntimeConfig& config() const { return config_; }
@@ -355,7 +341,8 @@ class Runtime {
   /// non-blacklisted trackers — the capacity the fairness layer accounts
   /// tenant usage against.
   int live_slot_capacity() const {
-    return total_map_target() + total_reduce_target();
+    const auto [map_total, reduce_total] = live_slot_targets();
+    return map_total + reduce_total;
   }
 
   /// Per-job census of the active jobs (tenant, pending/running tasks),
@@ -428,10 +415,15 @@ class Runtime {
   void on_heartbeat(std::size_t tracker_index);
   void on_policy_period();
   void on_sample();
-  /// Append one sample of every cluster-level metric series.  Called from
+  /// Slot-target and running-task totals over every tracker.
+  metrics::SlotSample slot_totals(SimTime now) const;
+  /// Record one point of every cluster-level metric series.  Called from
   /// on_sample() on the sampling period and once more from abort_run() so
   /// an aborted run's metrics end at the abort instant, not mid-period.
-  void record_metric_samples(SimTime now);
+  void record_sample(const metrics::SlotSample& totals);
+  /// Hand the recorder the live slot-target totals after a change that may
+  /// have moved them (computed only while a trace records them).
+  void record_slot_targets();
   void assign_tasks(TaskTracker& tracker);
   void eager_shrink(TaskTracker& tracker);
   void requeue_completed_map(Job& job, MapTask& task);
@@ -579,57 +571,8 @@ class Runtime {
       task_refs_[static_cast<std::size_t>(id)] = TaskRef{};
     }
   }
-  void trace_event(metrics::TraceEventKind kind, JobId job, TaskId task,
-                   NodeId node, bool is_map, const char* detail = "",
-                   double value = 0.0);
-
-  // --- Span recording (every helper is a no-op when spans_ == nullptr) --
-  /// Per-job span bookkeeping; lives beside the Job so the Job struct
-  /// stays observation-free.
-  struct JobSpanState {
-    obs::SpanId job = obs::kInvalidSpan;
-    obs::SpanId maps_phase = obs::kInvalidSpan;
-    obs::SpanId shuffle_phase = obs::kInvalidSpan;
-    obs::SpanId reduce_phase = obs::kInvalidSpan;
-    obs::SpanId wave = obs::kInvalidSpan;
-    int open_map_attempts = 0;
-    int waves = 0;        // waves opened so far (names wave-1, wave-2, ...)
-    int maps_phases = 1;  // re-opened barriers name maps-2, maps-3, ...
-    SimTime last_shuffle_end = kTimeNever;
-  };
-  /// The run-root span (created on first use).
-  obs::SpanId span_run_root();
-  /// This job's span state, creating the job span (and, before the
-  /// barrier, its map phase) on first use.
-  JobSpanState* span_job_state(const Job& job);
-  /// An attempt launched: open its span under the right phase, stamp the
-  /// enabling policy decision, and link it to the failed attempt it
-  /// retries (if any).  `primary` is the task whose work this attempt
-  /// carries (== attempt for non-speculative attempts).
-  void span_attempt_launched(TaskId attempt, const Job& job, NodeId node,
-                             bool is_map, bool speculative, TaskId primary);
-  /// An attempt ended; closes its span (idempotent: later calls for the
-  /// same attempt are ignored, so teardown paths may overlap).
-  void span_attempt_ended(TaskId attempt, obs::SpanOutcome outcome);
-  /// Remember that `primary`'s next launch is a retry caused by this
-  /// (failed/killed/lost) attempt.
-  void span_mark_retry(TaskId primary, TaskId failed_attempt);
-  /// Phase transitions.
-  void span_barrier_crossed(const Job& job);
-  void span_reduce_eligible(const Job& job);
-  void span_shuffle_settled(const Job& job, TaskId attempt);
-  void span_job_finished(const Job& job, obs::SpanOutcome outcome);
-  /// Abort-path flush: close every open span at the abort time.
-  void span_flush_aborted();
-  /// Latest slot-changing decision from the policy's DecisionLog (span
-  /// launch annotations); refreshed each policy period.
-  void span_refresh_decisions();
-  /// Cluster-total slot targets over all trackers (telemetry).
-  int total_map_target() const;
-  int total_reduce_target() const;
-  /// Emit kSlotTargetChanged trace events when the cluster totals moved
-  /// away from the given previous values.
-  void trace_slot_targets(int prev_map_total, int prev_reduce_total);
+  /// Cluster-total {map, reduce} slot targets over the live trackers.
+  std::pair<int, int> live_slot_targets() const;
 
   RuntimeConfig config_;
   std::unique_ptr<AllocationPolicy> policy_;
@@ -730,24 +673,24 @@ class Runtime {
     std::vector<std::uint32_t> load_entry;
     std::vector<std::uint8_t> load_is_map;
     std::vector<ComputeRate> compute;
-    // Mailboxes: job-level float deltas and trace events produced inside
-    // the window, replayed at the barrier in shard order (== node order,
-    // hence byte-identical sums for any shard count).
+    // Mailboxes: job-level float deltas and phase transitions produced
+    // inside the window, replayed at the barrier in shard order (== node
+    // order, hence byte-identical sums for any shard count).
     struct FpDelta {
       Job* job;
       double delta;
     };
     std::vector<FpDelta> shuffle_deltas;    // bytes_shuffled + cum_shuffled_
     std::vector<FpDelta> map_input_deltas;  // map_input_processed + cum_map_input_
-    struct TraceBuf {
-      metrics::TraceEventKind kind;
+    /// Phases entered inside the window, buffered only while tracing.
+    struct PhaseStart {
       JobId job;
       TaskId task;
       NodeId node;
       bool is_map;
-      const char* detail;
+      const char* phase;
     };
-    std::vector<TraceBuf> trace_events;
+    std::vector<PhaseStart> phase_starts;
     std::vector<TaskId> finished_maps, finished_reduces;
     /// Some task on an owned node changed phase since the last census
     /// sweep: set by the control plane through mark_node_dirty and by the
@@ -882,41 +825,7 @@ class Runtime {
   std::vector<TaskId> shadow_link_;
 
   metrics::RunResult result_;
-  metrics::TraceLog* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  // --- Span-recording state (inert while spans_ == nullptr) ------------
-  obs::SpanLog* spans_ = nullptr;
-  obs::SpanId run_span_ = obs::kInvalidSpan;
-  /// Per-job span state, dense by JobId (state.job == kInvalidSpan means
-  /// not yet created).  PR 7: formerly unordered_maps keyed by id.
-  std::vector<JobSpanState> job_spans_;
-  /// Open attempt spans, dense by attempt TaskId (kInvalidSpan = closed).
-  std::vector<obs::SpanId> attempt_spans_;
-  /// Last (open or closed) non-speculative attempt span of each primary
-  /// task; retry links for re-executions of *completed* attempts.
-  std::vector<obs::SpanId> last_attempt_span_;
-  /// Primary task -> span of the failed/killed attempt its next launch
-  /// retries; consumed at that launch (kInvalidSpan = none pending).
-  std::vector<obs::SpanId> retry_parent_;
-  /// Dense-vector accessors: read without growing, write grows on demand.
-  static obs::SpanId span_slot_get(const std::vector<obs::SpanId>& table,
-                                   TaskId id) {
-    return id >= 0 && static_cast<std::size_t>(id) < table.size()
-               ? table[static_cast<std::size_t>(id)]
-               : obs::kInvalidSpan;
-  }
-  static void span_slot_set(std::vector<obs::SpanId>& table, TaskId id,
-                            obs::SpanId value) {
-    if (static_cast<std::size_t>(id) >= table.size()) {
-      table.resize(static_cast<std::size_t>(id) + 1, obs::kInvalidSpan);
-    }
-    table[static_cast<std::size_t>(id)] = value;
-  }
-  /// Most recent slot-changing policy decision (launch annotations).
-  int last_decision_id_ = -1;
-  SimTime last_decision_time_ = kTimeNever;
-  /// Decision-log rows already scanned by span_refresh_decisions.
-  std::size_t decisions_seen_ = 0;
+  obs::RunRecorder recorder_;
   std::function<void(const Job&)> on_job_finished_;
   std::vector<sim::EventId> periodic_events_;
   bool ran_ = false;

@@ -395,28 +395,25 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
   }
 
   // 6. Integrate progress on owned tasks; cross-shard (job-level) float
-  // accumulation and trace events go to the mailboxes.  Shuffle progress
+  // accumulation and phase transitions go to the mailboxes.  Shuffle progress
   // first (jumps in `available` only happen via map completions at the
   // barrier, so ordering within the tick is consistent).  Completions are
   // collected and applied at the barrier: map completions mutate reduce
   // backlogs, reduce completions mutate tracker lists.
   s.shuffle_deltas.clear();
   s.map_input_deltas.clear();
-  s.trace_events.clear();
+  s.phase_starts.clear();
   s.finished_maps.clear();
   s.finished_reduces.clear();
-  const bool tracing = trace_ != nullptr;
+  const bool tracing = recorder_.tracing();
   // Owned nodes only, so the window writes no other shard's flag.
   auto mark_owned_dirty = [&](NodeId node) {
     s.phase_dirty = true;
     node_dirty_[static_cast<std::size_t>(node)] = 1;
   };
-  auto buffer_trace = [&](JobId job, TaskId task, NodeId node, bool is_map,
-                          const char* detail) {
-    if (tracing) {
-      s.trace_events.push_back({metrics::TraceEventKind::kPhaseStarted, job,
-                                task, node, is_map, detail});
-    }
+  auto buffer_phase = [&](JobId job, TaskId task, NodeId node, bool is_map,
+                          const char* phase) {
+    if (tracing) s.phase_starts.push_back({job, task, node, is_map, phase});
   };
 
   for (std::size_t f = 0; f < s.flows.size(); ++f) {
@@ -446,12 +443,12 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
             task.phase = MapPhase::kCombining;
             task.phase_done = 0.0;
             mark_owned_dirty(task.node);
-            buffer_trace(task.job, task.id, task.node, true, "COMBINE");
+            buffer_phase(task.job, task.id, task.node, true, "COMBINE");
           } else if (task.output_size > 0) {
             task.phase = MapPhase::kSpilling;
             task.phase_done = 0.0;
             mark_owned_dirty(task.node);
-            buffer_trace(task.job, task.id, task.node, true, "SPILL");
+            buffer_phase(task.job, task.id, task.node, true, "SPILL");
           } else {
             s.finished_maps.push_back(s.maps.id[c.entry]);
           }
@@ -463,7 +460,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
             task.phase = MapPhase::kSpilling;
             task.phase_done = 0.0;
             mark_owned_dirty(task.node);
-            buffer_trace(task.job, task.id, task.node, true, "SPILL");
+            buffer_phase(task.job, task.id, task.node, true, "SPILL");
           } else {
             s.finished_maps.push_back(s.maps.id[c.entry]);
           }
@@ -484,7 +481,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
           task.phase = ReducePhase::kReducing;
           task.phase_done = 0.0;
           mark_owned_dirty(task.node);
-          buffer_trace(task.job, task.id, task.node, false, "REDUCE");
+          buffer_phase(task.job, task.id, task.node, false, "REDUCE");
         }
       } else if (task.phase == ReducePhase::kReducing) {
         task.phase_done = std::min(task.phase_done + advance, total);
@@ -622,10 +619,11 @@ void Runtime::on_tick() {
     }
   }
   for (ShardScratch& s : shards_) {
-    for (const ShardScratch::TraceBuf& ev : s.trace_events) {
-      trace_event(ev.kind, ev.job, ev.task, ev.node, ev.is_map, ev.detail);
+    for (const ShardScratch::PhaseStart& p : s.phase_starts) {
+      recorder_.phase_started(engine_.now(), p.job, p.task, p.node, p.is_map,
+                              p.phase);
     }
-    s.trace_events.clear();
+    s.phase_starts.clear();
   }
 
   // Completions, in id order.

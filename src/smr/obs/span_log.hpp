@@ -10,11 +10,11 @@
 // a job's makespan; the Chrome-trace writer renders it as nested slices
 // with flow arrows.
 //
-// Attach with Runtime::set_spans(&log) before run().  Recording is purely
-// observational: a run with and without a SpanLog attached is
-// bit-identical, and with no log attached the runtime's span hooks reduce
-// to a null-pointer test (guarded by the smr_perfbench span-overhead
-// entries).
+// Attach with Runtime::set_spans(&log) before run(); obs::RunRecorder
+// (run_recorder.hpp) builds the tree.  Recording is purely observational: a
+// run with and without a SpanLog attached is bit-identical, and with no log
+// attached each span update is a null-pointer test (guarded by the
+// smr_perfbench span-overhead entries).
 #pragma once
 
 #include <cstdint>
