@@ -28,13 +28,29 @@ int live_capacity(std::span<mapreduce::TaskTracker> trackers,
 
 }  // namespace
 
+void GameCapacityConfig::validate() const {
+  // User-facing: each field is one policy-spec option, so name it and its
+  // value.
+  std::ostringstream bad;
+  if (!(max_iterations >= 1)) {
+    bad << "max_iterations=" << max_iterations << " must be at least 1";
+  } else if (!(tolerance > 0.0)) {
+    bad << "tolerance=" << tolerance << " must be positive";
+  } else if (!(deadline_weight >= 0.0)) {
+    bad << "deadline_weight=" << deadline_weight << " must not be negative";
+  } else if (!(urgency_scale > 0.0)) {
+    bad << "urgency_scale=" << urgency_scale << " must be positive";
+  } else if (!(min_share >= 0)) {
+    bad << "min_share=" << min_share << " must not be negative";
+  }
+  if (!bad.str().empty()) {
+    throw SmrError("policy 'gamecapacity': option " + bad.str());
+  }
+}
+
 GameCapacityAllocator::GameCapacityAllocator(GameCapacityConfig config)
     : config_(config) {
-  SMR_CHECK(config_.max_iterations >= 1);
-  SMR_CHECK(config_.tolerance > 0.0);
-  SMR_CHECK(config_.deadline_weight >= 0.0);
-  SMR_CHECK(config_.urgency_scale > 0.0);
-  SMR_CHECK(config_.min_share >= 0);
+  config_.validate();
 }
 
 void GameCapacityAllocator::on_period(

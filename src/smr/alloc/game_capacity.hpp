@@ -35,6 +35,10 @@ struct GameCapacityConfig {
   /// Floor share for any job with demand (post-equilibrium bump; may
   /// overshoot C — caps are bounds, not reservations).
   int min_share = 0;
+
+  /// Throws SmrError naming the `gamecapacity:` option at fault and its
+  /// value.
+  void validate() const;
 };
 
 class GameCapacityAllocator final : public mapreduce::AllocationPolicy {

@@ -10,9 +10,18 @@
 
 namespace smr::alloc {
 
+void HybridJobDrivenConfig::validate() const {
+  if (!(max_factor >= 1.0)) {
+    std::ostringstream bad;
+    bad << "policy 'hybridjobdriven': option max_factor=" << max_factor
+        << " must be at least 1";
+    throw SmrError(bad.str());
+  }
+}
+
 HybridJobDrivenAllocator::HybridJobDrivenAllocator(HybridJobDrivenConfig config)
     : config_(config) {
-  SMR_CHECK(config_.max_factor >= 1.0);
+  config_.validate();
 }
 
 void HybridJobDrivenAllocator::on_start(

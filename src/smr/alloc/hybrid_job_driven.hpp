@@ -27,6 +27,10 @@ namespace smr::alloc {
 struct HybridJobDrivenConfig {
   /// Per-node target ceiling, as a multiple of the node's initial target.
   double max_factor = 3.0;
+
+  /// Throws SmrError naming the `hybridjobdriven:` option at fault and its
+  /// value.
+  void validate() const;
 };
 
 class HybridJobDrivenAllocator final : public mapreduce::AllocationPolicy {

@@ -28,10 +28,24 @@ int live_capacity(std::span<mapreduce::TaskTracker> trackers,
 
 }  // namespace
 
+void KarmaConfig::validate() const {
+  // User-facing: each field is one policy-spec option, so name it and its
+  // value.
+  std::ostringstream bad;
+  if (!(init_credits >= 0.0)) {
+    bad << "init_credits=" << init_credits << " must not be negative";
+  } else if (!(donate_rate >= 0.0)) {
+    bad << "donate_rate=" << donate_rate << " must not be negative";
+  } else if (!(borrow_rate >= 0.0)) {
+    bad << "borrow_rate=" << borrow_rate << " must not be negative";
+  } else if (!(decay > 0.0 && decay <= 1.0)) {
+    bad << "decay=" << decay << " must be in (0, 1]";
+  }
+  if (!bad.str().empty()) throw SmrError("policy 'karma': option " + bad.str());
+}
+
 KarmaAllocator::KarmaAllocator(KarmaConfig config) : config_(config) {
-  SMR_CHECK(config_.init_credits >= 0.0);
-  SMR_CHECK(config_.donate_rate >= 0.0 && config_.borrow_rate >= 0.0);
-  SMR_CHECK(config_.decay > 0.0 && config_.decay <= 1.0);
+  config_.validate();
 }
 
 void KarmaAllocator::on_period(std::span<mapreduce::TaskTracker> trackers,

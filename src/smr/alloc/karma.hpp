@@ -42,6 +42,9 @@ struct KarmaConfig {
   double borrow_rate = 1.0;
   /// Per-period balance multiplier (1 = no decay).
   double decay = 1.0;
+
+  /// Throws SmrError naming the `karma:` option at fault and its value.
+  void validate() const;
 };
 
 class KarmaAllocator final : public mapreduce::AllocationPolicy {
