@@ -12,6 +12,7 @@
 #include "smr/driver/experiment.hpp"
 #include "smr/mapreduce/runtime.hpp"
 #include "smr/workload/puma.hpp"
+#include "support/run_result_equal.hpp"
 
 namespace smr::alloc {
 namespace {
@@ -109,7 +110,7 @@ TEST(Karma, UnequalRatesBreakConservationAsAccounted) {
 TEST(Karma, SingleTenantIsBitIdenticalToHadoopV1) {
   // With one tenant there is nobody to donate to or borrow from: the caps
   // equal demand and never bind, so the run must reproduce HadoopV1's
-  // result exactly — the identity smr_perfbench gates on.
+  // whole result exactly, bit for bit.
   driver::ExperimentConfig config =
       driver::ExperimentConfig::paper_default(driver::EngineKind::kHadoopV1);
   config.runtime.cluster = cluster::ClusterSpec::paper_testbed(4);
@@ -123,14 +124,8 @@ TEST(Karma, SingleTenantIsBitIdenticalToHadoopV1) {
   config.policy = parse_policy_spec("karma");
   const metrics::RunResult karma = driver::run_experiment(config, jobs);
 
-  EXPECT_EQ(hadoop.makespan, karma.makespan);
-  EXPECT_EQ(hadoop.engine_events, karma.engine_events);
-  ASSERT_EQ(hadoop.jobs.size(), karma.jobs.size());
-  for (std::size_t j = 0; j < hadoop.jobs.size(); ++j) {
-    EXPECT_EQ(hadoop.jobs[j].start_time, karma.jobs[j].start_time);
-    EXPECT_EQ(hadoop.jobs[j].maps_done_time, karma.jobs[j].maps_done_time);
-    EXPECT_EQ(hadoop.jobs[j].finish_time, karma.jobs[j].finish_time);
-  }
+  ASSERT_TRUE(hadoop.completed);
+  expect_bitwise_equal(hadoop, karma);
 }
 
 }  // namespace

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "smr/alloc/registry.hpp"
 #include "smr/common/error.hpp"
 #include "smr/driver/experiment.hpp"
+#include "smr/workload/puma.hpp"
+#include "support/run_result_equal.hpp"
 
 namespace smr::alloc {
 namespace {
@@ -119,6 +122,25 @@ TEST(AllocatorRegistry, RegistrySpecMatchesEngineEnumLabels) {
     const std::string via_enum = driver::policy_label(config);
     config.policy = parse_policy_spec(driver::engine_name(engine));
     EXPECT_EQ(driver::policy_label(config), via_enum);
+  }
+}
+
+TEST(AllocatorRegistry, RegistryBuiltPolicyRunsBitIdenticalToEnumBuilt) {
+  // `--policy=<engine>` must build the very policy the engine enum builds:
+  // the same run, bit for bit, for all three engines.
+  mapreduce::JobSpec spec = workload::make_puma_job(workload::Puma::kTerasort, 2 * kGiB);
+  spec.reduce_tasks = 8;
+  const std::vector<driver::JobSubmission> jobs = {{spec, 0.0}};
+  for (driver::EngineKind engine : driver::all_engines()) {
+    SCOPED_TRACE(driver::engine_name(engine));
+    driver::ExperimentConfig config = driver::ExperimentConfig::paper_default(engine);
+    config.runtime.cluster = cluster::ClusterSpec::paper_testbed(4);
+    config.trials = 1;
+    const metrics::RunResult via_enum = driver::run_experiment(config, jobs);
+    config.policy = parse_policy_spec(driver::engine_name(engine));
+    const metrics::RunResult via_registry = driver::run_experiment(config, jobs);
+    ASSERT_TRUE(via_enum.completed);
+    expect_bitwise_equal(via_enum, via_registry);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "smr/driver/sweep.hpp"
 #include "smr/workload/puma.hpp"
 #include "smr/workload/synthetic.hpp"
+#include "support/run_result_equal.hpp"
 
 namespace smr::driver {
 namespace {
@@ -27,40 +28,6 @@ std::vector<JobSubmission> small_jobs() {
   mapreduce::JobSpec spec = workload::make_puma_job(workload::Puma::kGrep, 2 * kGiB);
   spec.reduce_tasks = 8;
   return {JobSubmission{spec, 0.0}};
-}
-
-// Bitwise equality over everything a run reports.  EXPECT_EQ on doubles is
-// exact (no tolerance), which is the point: identical arithmetic order
-// must produce identical bits.
-void expect_bitwise_equal(const metrics::RunResult& a, const metrics::RunResult& b) {
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t j = 0; j < a.jobs.size(); ++j) {
-    EXPECT_EQ(a.jobs[j].submit_time, b.jobs[j].submit_time);
-    EXPECT_EQ(a.jobs[j].start_time, b.jobs[j].start_time);
-    EXPECT_EQ(a.jobs[j].maps_done_time, b.jobs[j].maps_done_time);
-    EXPECT_EQ(a.jobs[j].finish_time, b.jobs[j].finish_time);
-    EXPECT_EQ(a.jobs[j].failed, b.jobs[j].failed);
-  }
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.engine_events, b.engine_events);
-  ASSERT_EQ(a.progress.size(), b.progress.size());
-  for (std::size_t j = 0; j < a.progress.size(); ++j) {
-    ASSERT_EQ(a.progress[j].size(), b.progress[j].size());
-    for (std::size_t s = 0; s < a.progress[j].size(); ++s) {
-      EXPECT_EQ(a.progress[j][s].time, b.progress[j][s].time);
-      EXPECT_EQ(a.progress[j][s].map_pct, b.progress[j][s].map_pct);
-      EXPECT_EQ(a.progress[j][s].reduce_pct, b.progress[j][s].reduce_pct);
-    }
-  }
-  ASSERT_EQ(a.slots.size(), b.slots.size());
-  for (std::size_t s = 0; s < a.slots.size(); ++s) {
-    EXPECT_EQ(a.slots[s].time, b.slots[s].time);
-    EXPECT_EQ(a.slots[s].map_target, b.slots[s].map_target);
-    EXPECT_EQ(a.slots[s].reduce_target, b.slots[s].reduce_target);
-    EXPECT_EQ(a.slots[s].running_maps, b.slots[s].running_maps);
-    EXPECT_EQ(a.slots[s].running_reduces, b.slots[s].running_reduces);
-  }
 }
 
 TEST(Determinism, TrialsBitIdenticalAcrossPoolSizes) {
@@ -148,8 +115,6 @@ TEST(Determinism, ShardedBitIdenticalToSerialAcrossShardAndPoolSizes) {
         const metrics::RunResult sharded =
             run_experiment(config, small_jobs(), *pool);
         expect_bitwise_equal(serial, sharded);
-        EXPECT_EQ(serial.solver_calls, sharded.solver_calls);
-        EXPECT_EQ(serial.solver_full_solves, sharded.solver_full_solves);
       }
     }
   }
@@ -202,8 +167,32 @@ TEST(Determinism, ShardedFaultInjectionCrossShardBitIdentical) {
                    " threads=" + std::to_string(pool->thread_count()));
       const metrics::RunResult sharded = run_experiment(config, jobs, *pool);
       expect_bitwise_equal(serial, sharded);
-      EXPECT_EQ(serial.solver_calls, sharded.solver_calls);
-      EXPECT_EQ(serial.solver_full_solves, sharded.solver_full_solves);
+    }
+  }
+}
+
+TEST(Determinism, ShardedStaggeredTerasortsOnLargeClusterBitIdentical) {
+  // Two 24 GiB terasorts submitted 30 s apart on 256 nodes: enough nodes
+  // that every shard owns dozens of trackers and the network solve spans
+  // them all, with the second job's arrival landing mid-window.
+  ExperimentConfig config = ExperimentConfig::paper_default(EngineKind::kSMapReduce);
+  config.trials = 1;
+  config.runtime.cluster = cluster::ClusterSpec::paper_testbed(256);
+  std::vector<JobSubmission> jobs;
+  for (int j = 0; j < 2; ++j) {
+    jobs.push_back({workload::make_puma_job(workload::Puma::kTerasort, 24 * kGiB),
+                    30.0 * j});
+  }
+  ThreadPool one(1);
+  ThreadPool many(16);
+  const metrics::RunResult serial = run_trial(config, jobs, 1, &one);
+  ASSERT_TRUE(serial.completed);
+  for (int shards : {4, 8}) {
+    config.runtime.shard_count = shards;
+    for (ThreadPool* pool : {&one, &many}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(pool->thread_count()));
+      expect_bitwise_equal(serial, run_trial(config, jobs, 1, pool));
     }
   }
 }
@@ -230,8 +219,6 @@ void expect_speculation_bit_identical(bool reduce_speculation) {
                    " threads=" + std::to_string(pool->thread_count()));
       const metrics::RunResult run = run_experiment(config, jobs, *pool);
       expect_bitwise_equal(reference, run);
-      EXPECT_EQ(reference.solver_calls, run.solver_calls);
-      EXPECT_EQ(reference.solver_full_solves, run.solver_full_solves);
     }
   }
 }

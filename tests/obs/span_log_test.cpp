@@ -10,6 +10,7 @@
 #include "smr/mapreduce/runtime.hpp"
 #include "smr/obs/decision_log.hpp"
 #include "smr/workload/puma.hpp"
+#include "support/run_result_equal.hpp"
 
 namespace smr::obs {
 namespace {
@@ -169,10 +170,7 @@ TEST(RuntimeSpans, RecordingIsPurelyObservational) {
   const auto with = run_once(&spans);
   const auto without = run_once(nullptr);
   ASSERT_TRUE(with.completed);
-  EXPECT_EQ(with.makespan, without.makespan);
-  EXPECT_EQ(with.engine_events, without.engine_events);
-  ASSERT_EQ(with.jobs.size(), without.jobs.size());
-  EXPECT_EQ(with.jobs[0].finish_time, without.jobs[0].finish_time);
+  expect_bitwise_equal(with, without);
   EXPECT_FALSE(spans.empty());
 }
 
