@@ -18,9 +18,9 @@
 // The allocator never touches tracker slot targets: tenant allocations
 // become per-job in-flight caps (AllocationPolicy::job_task_caps), which
 // the runtime's assignment loop honours.  A single-tenant run therefore
-// degenerates to HadoopV1 byte-for-byte — its caps never bind — which is
-// the smr_perfbench makespan-identity gate for the arena's control-plane
-// cost.  Everything here is ordered (std::map keyed by tenant name, job-id
+// degenerates to HadoopV1 byte-for-byte — its caps never bind — which the
+// test Karma.SingleTenantIsBitIdenticalToHadoopV1 checks on the whole run
+// result.  Everything here is ordered (std::map keyed by tenant name, job-id
 // order) and RNG-free, so runs stay deterministic across shards × threads.
 #pragma once
 

@@ -86,8 +86,6 @@ SweepCell run_cell(const SweepConfig& config, double value, EngineKind engine,
   metrics::RunResult run = run_experiment(experiment, {JobSubmission{spec, 0.0}}, pool);
   cell.job = run.jobs[0];
   cell.engine_events = run.engine_events;
-  cell.solver_calls = run.solver_calls;
-  cell.solver_full_solves = run.solver_full_solves;
   return cell;
 }
 
@@ -125,24 +123,6 @@ SweepResult run_sweep(const SweepConfig& config, ThreadPool& pool) {
 
 SweepResult run_sweep(const SweepConfig& config) {
   return run_sweep(config, default_thread_pool());
-}
-
-std::uint64_t SweepResult::total_engine_events() const {
-  std::uint64_t total = 0;
-  for (const auto& cell : cells) total += cell.engine_events;
-  return total;
-}
-
-std::uint64_t SweepResult::total_solver_calls() const {
-  std::uint64_t total = 0;
-  for (const auto& cell : cells) total += cell.solver_calls;
-  return total;
-}
-
-std::uint64_t SweepResult::total_solver_full_solves() const {
-  std::uint64_t total = 0;
-  for (const auto& cell : cells) total += cell.solver_full_solves;
-  return total;
 }
 
 void SweepResult::write_csv(std::ostream& out) const {

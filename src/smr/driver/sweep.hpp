@@ -50,22 +50,15 @@ struct SweepCell {
   /// runs registry specs, engine_name(engine) otherwise.
   std::string label;
   metrics::JobResult job;
-  /// Engine/solver work done by this cell's trials (perf instrumentation,
-  /// summed over trials; not part of the CSV output).
+  /// Engine events dispatched by this cell's trials (summed over trials;
+  /// not part of the CSV output).
   std::uint64_t engine_events = 0;
-  std::uint64_t solver_calls = 0;
-  std::uint64_t solver_full_solves = 0;
 };
 
 struct SweepResult {
   SweepDimension dimension = SweepDimension::kMapSlots;
   /// Row-major: one cell per (value, engine), values outer, engines inner.
   std::vector<SweepCell> cells;
-
-  /// Sum of per-cell engine events / solver calls (perf instrumentation).
-  std::uint64_t total_engine_events() const;
-  std::uint64_t total_solver_calls() const;
-  std::uint64_t total_solver_full_solves() const;
 
   /// CSV: value,engine,map_time_s,reduce_time_s,total_time_s,throughput.
   void write_csv(std::ostream& out) const;

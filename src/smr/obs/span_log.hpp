@@ -12,9 +12,9 @@
 //
 // Attach with Runtime::set_spans(&log) before run(); obs::RunRecorder
 // (run_recorder.hpp) builds the tree.  Recording is purely observational: a
-// run with and without a SpanLog attached is bit-identical, and with no log
-// attached each span update is a null-pointer test (guarded by the
-// smr_perfbench span-overhead entries).
+// run with and without a SpanLog attached is bit-identical (the test
+// RuntimeSpans.RecordingIsPurelyObservational), and with no log attached
+// each span update is a null-pointer test.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@
 // engine's real throughput (tens of millions of raw dispatches/sec on any
 // machine this runs on) so it only trips on an algorithmic regression —
 // e.g. the ring degenerating to a linear scan or compaction thrashing.
-// BENCH_7.json / smr_perfbench measure the honest end-to-end numbers.
+// perfbench/run.py measures the honest end-to-end numbers.
 #include <chrono>
 #include <cstdint>
 #include <vector>
