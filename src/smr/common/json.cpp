@@ -38,11 +38,6 @@ const JsonArray& JsonValue::as_array() const {
   return *array_;
 }
 
-const JsonObject& JsonValue::as_object() const {
-  SMR_CHECK_MSG(is_object(), "json value is not an object");
-  return *object_;
-}
-
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (!is_object()) return nullptr;
   auto it = object_->find(key);

@@ -56,7 +56,6 @@ class JsonValue {
   double as_number() const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;
-  const JsonObject& as_object() const;
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(const std::string& key) const;

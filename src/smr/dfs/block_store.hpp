@@ -48,7 +48,6 @@ class BlockStore {
   FileId add_file(Bytes size, Bytes block_size);
 
   const FileInfo& file(FileId id) const;
-  int node_count() const { return nodes_; }
   int replication() const { return replication_; }
 
   /// Bytes stored (all replicas) on each node; used to check placement

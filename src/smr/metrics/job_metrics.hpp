@@ -35,11 +35,6 @@ struct JobResult {
   /// kTimeNever when the job carries no SLO.
   SimTime deadline = kTimeNever;
 
-  /// SLO verdict: deadline-free jobs trivially meet their (absent) SLO.
-  bool met_deadline() const {
-    return finished() && (deadline == kTimeNever || finish_time <= deadline);
-  }
-
   /// True when the job was torn down after a task exhausted its retry
   /// budget; finish_time then records the teardown, not a success.
   bool failed = false;

@@ -50,17 +50,6 @@ std::size_t TraceLog::memory_bytes() const {
   return bytes;
 }
 
-void TraceLog::write_csv(std::ostream& stream) const {
-  TextOut out(stream);
-  out << "time,kind,job,task,node,is_map,detail,value\n";
-  for (const auto& e : events_) {
-    out << e.time << ',' << to_string(e.kind) << ',' << e.job << ',' << e.task
-        << ',' << e.node << ',' << (e.is_map ? '1' : '0') << ',';
-    out.csv_field(e.detail);
-    out << ',' << e.value << '\n';
-  }
-}
-
 void TraceLog::write_chrome_trace(std::ostream& out) const {
   write_chrome_trace(out, nullptr);
 }

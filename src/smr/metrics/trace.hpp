@@ -64,11 +64,6 @@ class TraceLog {
   /// capacity plus out-of-line detail strings.
   std::size_t memory_bytes() const;
 
-  /// One CSV row per event: time,kind,job,task,node,is_map,detail,value.
-  /// The detail field is RFC-4180 quoted so free-text details cannot
-  /// corrupt rows.
-  void write_csv(std::ostream& out) const;
-
   /// Chrome trace-viewer JSON (load in chrome://tracing or Perfetto):
   ///  * complete events ("ph":"X") per task phase, one trace-viewer
   ///    process per node, named via process_name metadata;

@@ -255,17 +255,4 @@ void MetricsRegistry::write_jsonl(std::ostream& stream) const {
   }
 }
 
-void MetricsRegistry::write_series_csv(std::ostream& stream) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  TextOut out(stream);
-  out << "name,time,value\n";
-  for (const auto& [name, inst] : instruments_) {
-    if (!inst.series) continue;
-    for (const auto& sample : inst.series->samples()) {
-      out.csv_field(name);
-      out << ',' << sample.time << ',' << sample.value << '\n';
-    }
-  }
-}
-
 }  // namespace smr::obs

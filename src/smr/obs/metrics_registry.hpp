@@ -134,9 +134,6 @@ class MetricsRegistry {
   /// series *sample* ({"type":"series","name":...,"t":...,"v":...}).
   void write_jsonl(std::ostream& out) const;
 
-  /// All series flattened to CSV: name,time,value (name CSV-quoted).
-  void write_series_csv(std::ostream& out) const;
-
  private:
   struct Instrument {
     // Exactly one is non-null.

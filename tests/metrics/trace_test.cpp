@@ -47,79 +47,6 @@ TEST(TraceLog, EveryKindHasAName) {
   }
 }
 
-TEST(TraceLog, CsvHasHeaderAndOneRowPerEvent) {
-  TraceLog log;
-  log.record(event_at(1.5, TraceEventKind::kTaskLaunched, 7, 3));
-  log.record(event_at(2.5, TraceEventKind::kPhaseStarted, 7, 3, "MAP"));
-  std::ostringstream out;
-  log.write_csv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("time,kind,job,task,node,is_map,detail,value"), std::string::npos);
-  EXPECT_NE(csv.find("1.5,TASK_LAUNCHED,0,7,3,1,,0"), std::string::npos);
-  EXPECT_NE(csv.find("2.5,PHASE_STARTED,0,7,3,1,MAP,0"), std::string::npos);
-}
-
-TEST(TraceLog, CsvQuotesDetailsWithSeparators) {
-  // Details are free text (policy reasons carry commas and quotes); the
-  // CSV writer must quote them per RFC 4180 or the columns shift.
-  TraceLog log;
-  log.record(event_at(6.0, TraceEventKind::kPolicyDecision, kInvalidTask,
-                      kInvalidNode, "GROW_MAPS: f=1.02, above [0.85,0.95]"));
-  log.record(event_at(12.0, TraceEventKind::kPolicyDecision, kInvalidTask,
-                      kInvalidNode, "held \"climb\"\nnext line"));
-  std::ostringstream out;
-  log.write_csv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("\"GROW_MAPS: f=1.02, above [0.85,0.95]\""),
-            std::string::npos);
-  EXPECT_NE(csv.find("\"held \"\"climb\"\"\nnext line\""), std::string::npos);
-  // The plain columns stay unquoted.
-  EXPECT_NE(csv.find("6,POLICY_DECISION,"), std::string::npos);
-}
-
-TEST(TraceLog, CsvMatchesRecordedBytes) {
-  // Expected text recorded from the ostream-formatting writer: default
-  // %g doubles at precision 6, integers, quoted free text.
-  auto event = [](SimTime t, TraceEventKind kind, JobId job, TaskId task,
-                  NodeId node, bool is_map, std::string detail, double value) {
-    TraceEvent e;
-    e.time = t;
-    e.kind = kind;
-    e.job = job;
-    e.task = task;
-    e.node = node;
-    e.is_map = is_map;
-    e.detail = std::move(detail);
-    e.value = value;
-    return e;
-  };
-  TraceLog log;
-  log.record(event(0.0, TraceEventKind::kJobSubmitted, 0, -1, -1, true, "", 0.0));
-  log.record(event(1.0 / 3.0, TraceEventKind::kTaskLaunched, 0, 17, 3, true, "", 0.0));
-  log.record(event(2.25, TraceEventKind::kPhaseStarted, 0, 17, 3, true, "SHUFFLE", 0.0));
-  log.record(event(6.0, TraceEventKind::kPolicyDecision, -1, -1, -1, true,
-                   "GROW_MAPS: f=1.02, above [0.85,0.95]", 1.0234567891));
-  log.record(event(12.5, TraceEventKind::kSlotTargetChanged, -1, -1, -1, false,
-                   "reduce", 48.0));
-  log.record(event(123456.789, TraceEventKind::kSloAlert, 2, -1, -1, true,
-                   "held \"climb\"\r\nnext", 1e-7));
-  log.record(event(1e7, TraceEventKind::kTaskFinished, 2147483647, 0, 15, false,
-                   "", -0.0));
-  std::ostringstream out;
-  log.write_csv(out);
-  EXPECT_EQ(out.str(),
-            "time,kind,job,task,node,is_map,detail,value\n"
-            "0,JOB_SUBMITTED,0,-1,-1,1,,0\n"
-            "0.333333,TASK_LAUNCHED,0,17,3,1,,0\n"
-            "2.25,PHASE_STARTED,0,17,3,1,SHUFFLE,0\n"
-            "6,POLICY_DECISION,-1,-1,-1,1,\"GROW_MAPS: f=1.02, above "
-            "[0.85,0.95]\",1.02346\n"
-            "12.5,SLOT_TARGET_CHANGED,-1,-1,-1,0,reduce,48\n"
-            "123457,SLO_ALERT,2,-1,-1,1,\"held \"\"climb\"\"\r\n"
-            "next\",1e-07\n"
-            "1e+07,TASK_FINISHED,2147483647,0,15,0,,-0\n");
-}
-
 TEST(TraceLog, ChromeTracePairsPhasesIntoSlices) {
   TraceLog log;
   log.record(event_at(1.0, TraceEventKind::kPhaseStarted, 7, 3, "MAP"));

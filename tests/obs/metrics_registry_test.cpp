@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -232,38 +231,6 @@ TEST(MetricsRegistry, WriteJsonlOneObjectPerLine) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
   }
-}
-
-TEST(MetricsRegistry, WriteSeriesCsvMatchesRecordedBytes) {
-  // Expected text recorded from the ostream-formatting writer; only
-  // series are written, in name order.
-  MetricsRegistry registry;
-  registry.series("slots", {{"kind", "map"}}).append(1.0, 3.0);
-  registry.series("slots", {{"kind", "map"}}).append(2.5, 1.0 / 7.0);
-  registry.series("cluster.utilization").append(0.1, 0.123456789);
-  registry.series("cluster.utilization").append(1234567.0, 1e-300);
-  registry.series("big").append(1e21, std::numeric_limits<double>::infinity());
-  registry.counter("not.a.series").inc(5);
-  std::ostringstream out;
-  registry.write_series_csv(out);
-  EXPECT_EQ(out.str(),
-            "name,time,value\n"
-            "big,1e+21,inf\n"
-            "cluster.utilization,0.1,0.123457\n"
-            "cluster.utilization,1.23457e+06,1e-300\n"
-            "\"slots{kind=\"\"map\"\"}\",1,3\n"
-            "\"slots{kind=\"\"map\"\"}\",2.5,0.142857\n");
-}
-
-TEST(MetricsRegistry, WriteSeriesCsvQuotesLabeledNames) {
-  MetricsRegistry registry;
-  registry.series("slots", {{"kind", "map"}}).append(1.0, 3.0);
-  std::ostringstream out;
-  registry.write_series_csv(out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("name,time,value\n"), std::string::npos);
-  // The canonical key contains commas and quotes, so it must arrive quoted.
-  EXPECT_NE(text.find("\"slots{kind=\"\"map\"\"}\",1,3"), std::string::npos);
 }
 
 }  // namespace
