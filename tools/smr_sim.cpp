@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "smr/alloc/registry.hpp"
 #include "smr/common/flags.hpp"
@@ -43,6 +44,35 @@ bool write_file(const std::string& path, const std::function<void(std::ostream&)
   if (!out) return false;
   fn(out);
   return true;
+}
+
+/// The first out-of-range run-shape flag, named with its value, or "" when
+/// all are in range.  Checked before the workload is built, so a bad value
+/// is a usage error rather than a failed check inside a trial.
+std::string run_flag_error(const FlagSet& flags) {
+  const std::int64_t jobs = flags.get_int("jobs");
+  const std::int64_t shards = flags.get_int("shards");
+  const std::int64_t map_slots = flags.get_int("map-slots");
+  const std::int64_t reduce_slots = flags.get_int("reduce-slots");
+  const double fail_rate = flags.get_double("task-fail-rate");
+  const std::int64_t max_attempts = flags.get_int("max-attempts");
+  std::ostringstream bad;
+  if (jobs < 1) {
+    bad << "--jobs=" << jobs << " must be at least 1";
+  } else if (shards < 1) {
+    bad << "--shards=" << shards << " must be at least 1";
+  } else if (map_slots < 0) {
+    bad << "--map-slots=" << map_slots << " must not be negative";
+  } else if (reduce_slots < 0) {
+    bad << "--reduce-slots=" << reduce_slots << " must not be negative";
+  } else if (map_slots + reduce_slots < 1) {
+    bad << "--map-slots=0 and --reduce-slots=0 leave a node no slot";
+  } else if (!(fail_rate >= 0.0 && fail_rate <= 1.0)) {
+    bad << "--task-fail-rate=" << fail_rate << " must be in [0, 1]";
+  } else if (max_attempts < 1) {
+    bad << "--max-attempts=" << max_attempts << " must be at least 1";
+  }
+  return bad.str();
 }
 
 /// Parses --fail-node entries.  Each comma-separated entry is "N" (node N
@@ -183,6 +213,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  if (const std::string error = run_flag_error(flags); !error.empty()) {
+    return fail(error);
+  }
   const auto engine = driver::engine_from_name(flags.get_string("engine"));
   if (!engine) return fail("unknown engine '" + flags.get_string("engine") + "'");
   const auto scheduler = driver::scheduler_from_name(flags.get_string("scheduler"));
