@@ -2,9 +2,12 @@
 // bit-for-bit identical results for any thread-pool size, and repeated
 // runs of the same configuration must agree exactly — the invariant the
 // fast-path work (incremental solver, lazy-deletion heap, parallel
-// runners) is locked down by.
+// runners) is locked down by.  The sharded cases also compare the
+// end-of-run cluster snapshot, whose byte counters are summed by the
+// tick's barrier drain and appear nowhere in RunResult.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "smr/common/thread_pool.hpp"
@@ -22,6 +25,49 @@ ExperimentConfig small_config(EngineKind engine, int trials) {
   config.runtime.cluster = cluster::ClusterSpec::paper_testbed(4);
   config.trials = trials;
   return config;
+}
+
+// One trial's RunResult plus the runtime's end-of-run snapshot.
+struct Outcome {
+  metrics::RunResult result;
+  mapreduce::ClusterStats stats;
+};
+
+// What run_trial does, keeping the runtime long enough to snapshot it.
+Outcome run_outcome(const ExperimentConfig& config,
+                    const std::vector<JobSubmission>& jobs, ThreadPool& pool) {
+  mapreduce::Runtime runtime(config.runtime, make_policy(config),
+                             make_scheduler(config));
+  runtime.set_thread_pool(&pool);
+  for (const JobSubmission& submission : jobs) {
+    runtime.submit(submission.spec, submission.submit_at);
+  }
+  Outcome out;
+  out.result = runtime.run();
+  out.stats = runtime.snapshot();
+  return out;
+}
+
+void expect_outcome_equal(const Outcome& a, const Outcome& b) {
+  expect_bitwise_equal(a.result, b.result);
+  EXPECT_EQ(a.stats.cum_map_input, b.stats.cum_map_input);
+  EXPECT_EQ(a.stats.cum_shuffled, b.stats.cum_shuffled);
+  EXPECT_EQ(a.stats.cum_map_output, b.stats.cum_map_output);
+  ASSERT_EQ(a.stats.per_node.size(), b.stats.per_node.size());
+  for (std::size_t n = 0; n < a.stats.per_node.size(); ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    const mapreduce::NodeStats& x = a.stats.per_node[n];
+    const mapreduce::NodeStats& y = b.stats.per_node[n];
+    EXPECT_EQ(x.node, y.node);
+    EXPECT_EQ(x.alive, y.alive);
+    EXPECT_EQ(x.blacklisted, y.blacklisted);
+    EXPECT_EQ(x.running_maps, y.running_maps);
+    EXPECT_EQ(x.running_reduces, y.running_reduces);
+    EXPECT_EQ(x.cum_map_input, y.cum_map_input);
+    EXPECT_EQ(x.cum_map_output, y.cum_map_output);
+    EXPECT_EQ(x.cum_shuffled_in, y.cum_shuffled_in);
+    EXPECT_EQ(x.local_pending_input, y.local_pending_input);
+  }
 }
 
 std::vector<JobSubmission> small_jobs() {
@@ -105,16 +151,14 @@ TEST(Determinism, ShardedBitIdenticalToSerialAcrossShardAndPoolSizes) {
     ExperimentConfig config = small_config(engine, 1);
     ThreadPool one(1);
     ThreadPool many(16);
-    const metrics::RunResult serial = run_experiment(config, small_jobs(), one);
+    const Outcome serial = run_outcome(config, small_jobs(), one);
     for (int shards : {2, 4, 8}) {
       config.runtime.shard_count = shards;
       for (ThreadPool* pool : {&one, &many}) {
         SCOPED_TRACE(std::string(engine_name(engine)) + " shards=" +
                      std::to_string(shards) +
                      " threads=" + std::to_string(pool->thread_count()));
-        const metrics::RunResult sharded =
-            run_experiment(config, small_jobs(), *pool);
-        expect_bitwise_equal(serial, sharded);
+        expect_outcome_equal(serial, run_outcome(config, small_jobs(), *pool));
       }
     }
   }
@@ -138,11 +182,11 @@ TEST(Determinism, ShardedMultiJobFairSchedulerBitIdentical) {
   }
   ThreadPool one(1);
   ThreadPool many(16);
-  const metrics::RunResult serial = run_experiment(config, jobs, one);
+  const Outcome serial = run_outcome(config, jobs, one);
   for (int shards : {2, 4}) {
     config.runtime.shard_count = shards;
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    expect_bitwise_equal(serial, run_experiment(config, jobs, many));
+    expect_outcome_equal(serial, run_outcome(config, jobs, many));
   }
 }
 
@@ -159,14 +203,13 @@ TEST(Determinism, ShardedFaultInjectionCrossShardBitIdentical) {
   std::vector<JobSubmission> jobs = small_jobs();
   ThreadPool one(1);
   ThreadPool many(16);
-  const metrics::RunResult serial = run_experiment(config, jobs, one);
+  const Outcome serial = run_outcome(config, jobs, one);
   for (int shards : {2, 4}) {
     config.runtime.shard_count = shards;
     for (ThreadPool* pool : {&one, &many}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " threads=" + std::to_string(pool->thread_count()));
-      const metrics::RunResult sharded = run_experiment(config, jobs, *pool);
-      expect_bitwise_equal(serial, sharded);
+      expect_outcome_equal(serial, run_outcome(config, jobs, *pool));
     }
   }
 }
@@ -185,14 +228,50 @@ TEST(Determinism, ShardedStaggeredTerasortsOnLargeClusterBitIdentical) {
   }
   ThreadPool one(1);
   ThreadPool many(16);
-  const metrics::RunResult serial = run_trial(config, jobs, 1, &one);
-  ASSERT_TRUE(serial.completed);
+  config.runtime.seed = 1;
+  const Outcome serial = run_outcome(config, jobs, one);
+  ASSERT_TRUE(serial.result.completed);
   for (int shards : {4, 8}) {
     config.runtime.shard_count = shards;
     for (ThreadPool* pool : {&one, &many}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " threads=" + std::to_string(pool->thread_count()));
-      expect_bitwise_equal(serial, run_trial(config, jobs, 1, pool));
+      expect_outcome_equal(serial, run_outcome(config, jobs, *pool));
+    }
+  }
+}
+
+TEST(Determinism, ShardedNodesGoIdleAndComeBackBitIdentical) {
+  // Nodes leave and re-enter the tick's busy set: the first job's maps
+  // drain and leave most of the 64 nodes idle behind its few reducers, a
+  // second job arrives later and fills them again, node 40 dies and
+  // recovers in between, and injected attempt failures re-run the census
+  // mid-tick.
+  ExperimentConfig config = small_config(EngineKind::kSMapReduce, 1);
+  config.runtime.cluster = cluster::ClusterSpec::paper_testbed(64);
+  config.runtime.failures.push_back({/*node=*/40, /*at=*/30.0,
+                                     /*recover_at=*/150.0});
+  config.runtime.task_fail_rate = 0.05;
+  std::vector<JobSubmission> jobs;
+  for (SimTime at : {0.0, 200.0}) {
+    mapreduce::JobSpec spec =
+        workload::make_puma_job(workload::Puma::kTerasort, 8 * kGiB);
+    spec.reduce_tasks = 6;
+    jobs.push_back({spec, at});
+  }
+  ThreadPool one(1);
+  ThreadPool many(16);
+  const Outcome reference = run_outcome(config, jobs, one);
+  ASSERT_TRUE(reference.result.completed);
+  ASSERT_EQ(reference.result.jobs.size(), 2u);
+  ASSERT_LT(reference.result.jobs[0].maps_done_time, jobs[1].submit_at);
+  ASSERT_GT(reference.result.jobs[0].finish_time, 30.0);
+  for (int shards : {1, 3, 4}) {
+    config.runtime.shard_count = shards;
+    for (ThreadPool* pool : {&one, &many}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(pool->thread_count()));
+      expect_outcome_equal(reference, run_outcome(config, jobs, *pool));
     }
   }
 }
@@ -211,14 +290,13 @@ void expect_speculation_bit_identical(bool reduce_speculation) {
   const std::vector<JobSubmission> jobs = {JobSubmission{spec, 0.0}};
   ThreadPool one(1);
   ThreadPool many(16);
-  const metrics::RunResult reference = run_experiment(config, jobs, one);
+  const Outcome reference = run_outcome(config, jobs, one);
   for (int shards : {1, 2, 3}) {
     config.runtime.shard_count = shards;
     for (ThreadPool* pool : {&one, &many}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " threads=" + std::to_string(pool->thread_count()));
-      const metrics::RunResult run = run_experiment(config, jobs, *pool);
-      expect_bitwise_equal(reference, run);
+      expect_outcome_equal(reference, run_outcome(config, jobs, *pool));
     }
   }
 }
