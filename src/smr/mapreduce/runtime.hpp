@@ -622,19 +622,23 @@ class Runtime {
     bool is_map;
     double rate;
   };
-  /// Per-shard tick scratch over the shard's contiguous node range,
-  /// node-indexed arrays in local node space (global node = node_lo +
-  /// local).  The SoA ref arrays are rebuilt by the census in node order:
-  /// every later stage indexes them instead of re-resolving ids — hot
-  /// fields (task/job pointers) split from cold spec data.  During a window
-  /// everything here is written exclusively by the owning shard; the
-  /// mailboxes are drained serially at the barrier.
+  /// Per-shard tick scratch over the shard's contiguous node range.  The
+  /// tick visits only the range's busy nodes (at least one running
+  /// attempt), and per-node arrays are indexed by busy position (global
+  /// node = busy[position]).  The SoA ref arrays are rebuilt by the census
+  /// in node order: every later stage indexes them instead of re-resolving
+  /// ids — hot fields (task/job pointers) split from cold spec data.
+  /// During a window everything here is written exclusively by the owning
+  /// shard; the mailboxes are drained serially at the barrier.
   struct ShardScratch {
     int index = 0;
     NodeId node_lo = 0;
     NodeId node_hi = 0;  // exclusive
+    /// The owned nodes with a running attempt, in node order; rebuilt with
+    /// the SoA ref arrays whenever membership changes.
+    std::vector<NodeId> busy;
     /// One kind's running attempts, resolved per census in shard-node
-    /// order (SoA); `range` is each node's [begin, end) in the others.
+    /// order (SoA); `range` is each busy node's [begin, end) in the others.
     template <class Task>
     struct Resolved {
       std::vector<TaskId> id;
@@ -666,6 +670,7 @@ class Runtime {
     std::vector<cluster::NetFlow> flows;
     std::vector<std::uint32_t> flow_entry;
     std::vector<std::uint8_t> flow_is_shuffle;
+    std::vector<std::uint32_t> flow_pos;  // busy position of the flow's dst
     std::size_t flow_base = 0;
     std::vector<double> shuffle_disk_demand, shuffle_scale;
     std::vector<cluster::BackgroundLoad> background;

@@ -78,13 +78,17 @@ void Runtime::setup_shards() {
 // --- Stage A: per-shard census ----------------------------------------------
 //
 // Resolves every running attempt on the shard's nodes once: one pass over the
-// tracker lists and the dense task-ref table builds SoA views (ids / task
-// pointers / job pointers / specs, node order), redone only when the running
-// sets or the task storage changed.  Every later stage indexes these instead
-// of re-resolving attempt ids.  Pointers stay valid for the whole tick: no
-// attempt launches happen outside heartbeats, and teardown paths run after
-// the stages that use them.  A sweep over the views then takes the occupancy
-// census and the network-participant and settle-candidate lists.
+// tracker lists and the dense task-ref table builds the busy-node list (owned
+// nodes with a running attempt) and SoA views (ids / task pointers / job
+// pointers / specs), both in node order, redone only when the running sets or
+// the task storage changed.  Every later stage indexes these instead of
+// re-resolving attempt ids, and walks the busy nodes only: an idle node has no
+// flows and no loads, so it makes no solver call whether it is visited or not,
+// and a node turning busy again has a bumped tracker version, so it
+// re-solves.  Pointers stay valid for the whole tick: no attempt launches
+// happen outside heartbeats, and teardown paths run after the stages that
+// use them.  A sweep over the views then takes the occupancy census and the
+// network-participant and settle-candidate lists.
 //
 // Doom detection rides it too: an attempt whose progress crossed its
 // injected-failure threshold last tick dies at this tick boundary, before
@@ -95,7 +99,6 @@ void Runtime::setup_shards() {
 void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
   const auto lo = static_cast<std::size_t>(s.node_lo);
   const auto hi = static_cast<std::size_t>(s.node_hi);
-  const std::size_t local_n = hi - lo;
   if (detect_doom) {
     s.doomed_maps.clear();
     s.doomed_reduces.clear();
@@ -114,11 +117,10 @@ void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
   s.settle_shadows.clear();
   s.shuffle_entries.clear();
   s.remote_entries.clear();
-  s.occ.assign(local_n, cluster::Occupancy{});
-  s.node_has_remote.assign(local_n, 0);
   if (!same_membership) {
     s.resolve_version_sum = vsum;
     s.resolve_storage_generation = storage_generation_;
+    s.busy.clear();
     s.maps.clear();
     s.reds.clear();
     const auto resolve = [this]<class Task>(const std::vector<TaskId>& running,
@@ -135,15 +137,22 @@ void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
       out.range.emplace_back(begin, static_cast<std::uint32_t>(out.id.size()));
     };
     for (std::size_t d = lo; d < hi; ++d) {
-      resolve(trackers_[d].running_map_tasks(), s.maps);
-      resolve(trackers_[d].running_reduce_tasks(), s.reds);
+      const TaskTracker& tracker = trackers_[d];
+      if (tracker.running_map_tasks().empty() &&
+          tracker.running_reduce_tasks().empty()) {
+        continue;
+      }
+      s.busy.push_back(static_cast<NodeId>(d));
+      resolve(tracker.running_map_tasks(), s.maps);
+      resolve(tracker.running_reduce_tasks(), s.reds);
     }
   }
-  // The phase-dependent census over the resolved arrays.
-  for (std::size_t d = lo; d < hi; ++d) {
-    const auto li = d - lo;
-    auto& o = s.occ[li];
-    const auto [mb, me] = s.maps.range[li];
+  // The phase-dependent census over the resolved arrays, by busy position.
+  s.occ.assign(s.busy.size(), cluster::Occupancy{});
+  s.node_has_remote.assign(s.busy.size(), 0);
+  for (std::size_t b = 0; b < s.busy.size(); ++b) {
+    auto& o = s.occ[b];
+    const auto [mb, me] = s.maps.range[b];
     for (std::uint32_t i = mb; i < me; ++i) {
       const MapTask* task = s.maps.task[i];
       const bool remote_mapping =
@@ -152,14 +161,14 @@ void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
       o.io_streams += remote_mapping ? 0 : 1;
       o.memory_demand += s.maps.spec[i]->map_task_memory;
       if (remote_mapping) {
-        s.node_has_remote[li] = 1;
+        s.node_has_remote[b] = 1;
         s.remote_entries.push_back(i);
       }
       if (detect_doom && task->progress() >= task->fail_at_progress) {
         s.doomed_maps.push_back(s.maps.id[i]);
       }
     }
-    const auto [rb, re] = s.reds.range[li];
+    const auto [rb, re] = s.reds.range[b];
     for (std::uint32_t i = rb; i < re; ++i) {
       const ReduceTask* task = s.reds.task[i];
       const bool shuffling = task->phase == ReducePhase::kShuffling;
@@ -189,22 +198,27 @@ void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
 void Runtime::shard_collect_flows(ShardScratch& s) {
   const double dt = config_.tick;
   const int n = config_.cluster.worker_count();
-  const auto lo = static_cast<std::size_t>(s.node_lo);
-  const auto hi = static_cast<std::size_t>(s.node_hi);
+  // Only last tick's shuffle receivers can hold a nonzero fetch count.
+  for (std::size_t f = 0; f < s.flows.size(); ++f) {
+    if (s.flow_is_shuffle[f]) {
+      tick_.fetch_streams[static_cast<std::size_t>(s.flows[f].dst)] = 0;
+    }
+  }
   s.flows.clear();
   s.flow_entry.clear();
   s.flow_is_shuffle.clear();
-  for (std::size_t d = lo; d < hi; ++d) tick_.fetch_streams[d] = 0;
+  s.flow_pos.clear();
   // Walk only the network participants collected by the census.  Both lists
   // are in node order, so advancing each cursor to the end of the node's SoA
   // range visits, per node, shuffling reduces first, then remote-reading
   // maps.
   std::size_t sp = 0;
   std::size_t rp = 0;
-  for (std::size_t d = lo; d < hi; ++d) {
-    const auto li = d - lo;
+  for (std::size_t b = 0; b < s.busy.size(); ++b) {
+    const auto d = static_cast<std::size_t>(s.busy[b]);
+    const auto pos = static_cast<std::uint32_t>(b);
     const NodeId dst = trackers_[d].node();
-    const std::uint32_t re = s.reds.range[li].second;
+    const std::uint32_t re = s.reds.range[b].second;
     for (; sp < s.shuffle_entries.size() && s.shuffle_entries[sp] < re; ++sp) {
       const std::uint32_t i = s.shuffle_entries[sp];
       const ReduceTask& task = *s.reds.task[i];
@@ -219,8 +233,9 @@ void Runtime::shard_collect_flows(ShardScratch& s) {
       s.flows.push_back(flow);
       s.flow_entry.push_back(i);
       s.flow_is_shuffle.push_back(1);
+      s.flow_pos.push_back(pos);
     }
-    const std::uint32_t me = s.maps.range[li].second;
+    const std::uint32_t me = s.maps.range[b].second;
     for (; rp < s.remote_entries.size() && s.remote_entries[rp] < me; ++rp) {
       const std::uint32_t i = s.remote_entries[rp];
       const MapTask& task = *s.maps.task[i];
@@ -236,6 +251,7 @@ void Runtime::shard_collect_flows(ShardScratch& s) {
       s.flows.push_back(flow);
       s.flow_entry.push_back(i);
       s.flow_is_shuffle.push_back(0);
+      s.flow_pos.push_back(pos);
     }
   }
 }
@@ -245,58 +261,55 @@ void Runtime::shard_collect_flows(ShardScratch& s) {
 void Runtime::shard_solve_integrate(ShardScratch& s) {
   const double dt = config_.tick;
   TickScratch& t = tick_;
-  const auto lo = static_cast<std::size_t>(s.node_lo);
-  const auto hi = static_cast<std::size_t>(s.node_hi);
-  const std::size_t local_n = hi - lo;
+  const std::size_t busy_n = s.busy.size();
 
   // 3. Cap shuffle ingest by each owned receiver's disk share.  Every flow
   // into an owned node was collected by this shard, so the local demand is
   // the full demand.
-  s.shuffle_disk_demand.assign(local_n, 0.0);
+  s.shuffle_disk_demand.assign(busy_n, 0.0);
   for (std::size_t f = 0; f < s.flows.size(); ++f) {
     if (!s.flow_is_shuffle[f]) continue;
     const JobSpec& spec = *s.reds.spec[s.flow_entry[f]];
-    s.shuffle_disk_demand[static_cast<std::size_t>(s.flows[f].dst) - lo] +=
+    s.shuffle_disk_demand[s.flow_pos[f]] +=
         t.net_rates[s.flow_base + f] * spec.shuffle_disk_factor;
   }
-  s.shuffle_scale.assign(local_n, 1.0);
-  for (std::size_t d = lo; d < hi; ++d) {
-    const auto li = d - lo;
-    const double demand = s.shuffle_disk_demand[li];
+  s.shuffle_scale.assign(busy_n, 1.0);
+  for (std::size_t b = 0; b < busy_n; ++b) {
+    const double demand = s.shuffle_disk_demand[b];
     if (demand <= 0.0) continue;  // no ingest, nothing to cap
     const double allowed =
         config_.shuffle_disk_share *
-        cluster::ComputeModel::effective_disk(config_.cluster.workers[d], s.occ[li]);
-    if (demand > allowed) s.shuffle_scale[li] = allowed / demand;
+        cluster::ComputeModel::effective_disk(
+            config_.cluster.workers[static_cast<std::size_t>(s.busy[b])], s.occ[b]);
+    if (demand > allowed) s.shuffle_scale[b] = allowed / demand;
   }
   for (std::size_t f = 0; f < s.flows.size(); ++f) {
     if (s.flow_is_shuffle[f]) {
-      t.net_rates[s.flow_base + f] *=
-          s.shuffle_scale[static_cast<std::size_t>(s.flows[f].dst) - lo];
+      t.net_rates[s.flow_base + f] *= s.shuffle_scale[s.flow_pos[f]];
     }
   }
 
   // 4. Background load from shuffle ingest on owned nodes.
-  s.background.assign(local_n, cluster::BackgroundLoad{});
+  s.background.assign(busy_n, cluster::BackgroundLoad{});
   for (std::size_t f = 0; f < s.flows.size(); ++f) {
     if (!s.flow_is_shuffle[f]) continue;
     const JobSpec& spec = *s.reds.spec[s.flow_entry[f]];
-    auto& bg = s.background[static_cast<std::size_t>(s.flows[f].dst) - lo];
+    auto& bg = s.background[s.flow_pos[f]];
     bg.cpu_cores +=
         t.net_rates[s.flow_base + f] * per_mib_to_per_byte(spec.shuffle_cpu_per_mib);
     bg.disk_rate += t.net_rates[s.flow_base + f] * spec.shuffle_disk_factor;
   }
 
-  // 5. Per-node compute solve over owned nodes (the node models, their
+  // 5. Per-node compute solve over owned busy nodes (the node models, their
   // caches and the per-node quiescence state are all owned by this shard).
   // The (task, rate) pairs come out in node order, which keeps the
   // floating-point accumulation below bit-for-bit reproducible.
   s.compute.clear();
-  for (std::size_t d = lo; d < hi; ++d) {
-    const auto li = d - lo;
+  for (std::size_t b = 0; b < busy_n; ++b) {
+    const auto d = static_cast<std::size_t>(s.busy[b]);
     const auto& node_spec = config_.cluster.workers[d];
     const auto& tracker = trackers_[d];
-    const cluster::BackgroundLoad& bg = s.background[li];
+    const cluster::BackgroundLoad& bg = s.background[b];
     // Quiescent-node fast path.  A node's solve inputs (occupancy,
     // background, per-load coefficients) are pure functions of its running
     // set, each task's phase/local/cost_factor, the background shuffle
@@ -311,18 +324,18 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
     // memo hit so the reported solver stats stay byte-identical.
     const bool quiet = !node_dirty_[d] &&
                        tracker.version() == node_solve_version_[d] &&
-                       !s.node_has_remote[li] &&
+                       !s.node_has_remote[b] &&
                        bg.cpu_cores == node_bg_prev_[d].cpu_cores &&
                        bg.disk_rate == node_bg_prev_[d].disk_rate;
     if (quiet) {
       const std::vector<double>& cache = node_rates_cache_[d];
       if (cache.empty()) continue;  // no loads last tick, none now
       std::size_t k = 0;
-      const auto [mb, me] = s.maps.range[li];
+      const auto [mb, me] = s.maps.range[b];
       for (std::uint32_t i = mb; i < me; ++i) {
         s.compute.push_back({i, true, cache[k++]});
       }
-      const auto [rb, re] = s.reds.range[li];
+      const auto [rb, re] = s.reds.range[b];
       for (std::uint32_t i = rb; i < re; ++i) {
         if (s.reds.task[i]->phase == ReducePhase::kShuffling) continue;
         s.compute.push_back({i, false, cache[k++]});
@@ -337,7 +350,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
     s.loads.clear();
     s.load_entry.clear();
     s.load_is_map.clear();
-    const auto [mb, me] = s.maps.range[li];
+    const auto [mb, me] = s.maps.range[b];
     for (std::uint32_t i = mb; i < me; ++i) {
       const MapTask& task = *s.maps.task[i];
       const JobSpec& spec = *s.maps.spec[i];
@@ -365,7 +378,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
       s.load_entry.push_back(i);
       s.load_is_map.push_back(1);
     }
-    const auto [rb, re] = s.reds.range[li];
+    const auto [rb, re] = s.reds.range[b];
     for (std::uint32_t i = rb; i < re; ++i) {
       const ReduceTask& task = *s.reds.task[i];
       const JobSpec& spec = *s.reds.spec[i];
@@ -387,7 +400,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
       continue;
     }
     const std::vector<double>& rates =
-        node_models_[d].solve_cached(node_spec, s.occ[li], bg, s.loads);
+        node_models_[d].solve_cached(node_spec, s.occ[b], bg, s.loads);
     node_rates_cache_[d].assign(rates.begin(), rates.end());
     for (std::size_t i = 0; i < s.loads.size(); ++i) {
       s.compute.push_back({s.load_entry[i], s.load_is_map[i] != 0, rates[i]});
