@@ -34,7 +34,7 @@ std::string format_rate(Rate r) {
 
 std::string format_duration(SimTime seconds) {
   if (!std::isfinite(seconds)) return "inf";
-  if (seconds < 0) return "-" + format_duration(-seconds);
+  if (seconds < 0) return format_duration(-seconds).insert(0, 1, '-');
   if (seconds < 3600.0) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.1f s", seconds);

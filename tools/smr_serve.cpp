@@ -5,7 +5,7 @@
 //   smr_serve --engine=smapreduce --rate=30 --horizon=7200
 //
 //   # capacity sweep: where is each engine's knee?
-//   smr_serve --sweep=10,20,30,40 --engines=hadoopv1,smapreduce \
+//   smr_serve --sweep=10,20,30,40 --engines=hadoopv1,smapreduce
 //             --p99-bound=1800 --capacity-out=capacity.json
 //
 //   # replay a recorded arrival trace
