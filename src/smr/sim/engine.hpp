@@ -163,9 +163,6 @@ class Engine {
   std::uint32_t alloc_slot(SimTime when, SimTime period, Callback fn);
   void free_slot(std::uint32_t index);
 
-  std::int64_t bucket_of(SimTime when) const {
-    return static_cast<std::int64_t>(when * inv_width_);
-  }
   void push_stub(SimTime when, std::uint32_t slot, Generation gen);
   /// Refill current_ from the earliest nonempty bucket; false when no stub
   /// remains anywhere (parked events hold none).
