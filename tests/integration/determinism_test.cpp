@@ -321,5 +321,33 @@ TEST(Determinism, SolverCountersAreDeterministic) {
   EXPECT_EQ(first.solver_full_solves, second.solver_full_solves);
 }
 
+TEST(Determinism, SolverCountersPinnedOnRemoteReadRun) {
+  // Remote-reading maps cap their node's compute loads at the per-tick
+  // network grant, so the tick must re-solve such a node even when nothing
+  // else on it changed.  Two staggered terasorts on 64 nodes launch dozens
+  // of remote maps; every solver counter and the makespan are pinned to
+  // the values the tick produced when this test was written.
+  ExperimentConfig config = small_config(EngineKind::kSMapReduce, 1);
+  config.runtime.cluster = cluster::ClusterSpec::paper_testbed(64);
+  config.runtime.seed = 1;
+  mapreduce::Runtime runtime(config.runtime, make_policy(config),
+                             make_scheduler(config));
+  for (SimTime at : {0.0, 30.0}) {
+    mapreduce::JobSpec spec =
+        workload::make_puma_job(workload::Puma::kTerasort, 8 * kGiB);
+    spec.reduce_tasks = 8;
+    runtime.submit(spec, at);
+  }
+  const metrics::RunResult result = runtime.run();
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(runtime.remote_map_launches(), 54);
+  const cluster::MaxMinSolver::Stats stats = runtime.solver_stats();
+  EXPECT_EQ(stats.calls, 15707u);
+  EXPECT_EQ(stats.cache_hits, 15281u);
+  EXPECT_EQ(stats.cap_fast_hits, 0u);
+  EXPECT_EQ(stats.full_solves, 426u);
+  EXPECT_EQ(result.makespan, 364.75);
+}
+
 }  // namespace
 }  // namespace smr::driver
