@@ -76,7 +76,6 @@ Runtime::Runtime(RuntimeConfig config, std::unique_ptr<AllocationPolicy> policy,
   heartbeat_events_.assign(node_alive_.size(), sim::kInvalidEvent);
   node_models_.resize(node_alive_.size());
   node_dirty_.assign(node_alive_.size(), 1);
-  node_solve_version_.assign(node_alive_.size(), 0);
   node_bg_prev_.assign(node_alive_.size(), cluster::BackgroundLoad{});
   node_rates_cache_.resize(node_alive_.size());
   setup_shards();
@@ -156,7 +155,7 @@ JobId Runtime::submit(const JobSpec& spec, SimTime at) {
   }
 
   jobs_.push_back(std::move(job));
-  ++storage_generation_;
+  mark_all_shards_dirty();  // jobs_ may have moved every task
   ++unfinished_jobs_;
   ++jobs_not_yet_submitted_;
   pending_jobs_.emplace_back(at, jobs_.size() - 1);
@@ -420,6 +419,7 @@ void Runtime::complete_task(Job& job, Task& task, TaskId attempt_id) {
                              task.node, Kind::kIsMap,
                              task.finish_time - task.start_time);
   Kind::finish(trackers_[static_cast<std::size_t>(task.node)], attempt_id);
+  mark_node_dirty(task.node);
   ++Kind::finished(job);
   task_completed(job, task);
 }
@@ -619,6 +619,7 @@ void Runtime::requeue_running(Task& task) {
   recorder_.attempt_killed(engine_.now(), task.job, task.id, task.node,
                            Kind::kIsMap, obs::KillCause::kRequeued);
   Kind::finish(trackers_[static_cast<std::size_t>(task.node)], task.id);
+  mark_node_dirty(task.node);
   Kind::reset(task);
   --Kind::assigned(job);
 }
@@ -1050,6 +1051,7 @@ void Runtime::start_attempt(Job& job, Task& task, TaskTracker& tracker,
   task.start_time = now;
   task.fail_at_progress = draw_fail_threshold();
   Kind::launch(tracker, task.id);
+  mark_node_dirty(tracker.node());
   if (!speculative) {
     ++Kind::assigned(job);
     if (!job.started()) job.start_time = now;
@@ -1127,7 +1129,8 @@ bool Runtime::launch_speculative(TaskTracker& tracker) {
     if (!prepare_shadow(job, shadow)) continue;
     shadow.failed_attempts = 0;  // the budget lives on the primary
     ShadowPool<Task>& pool = shadows<Task>();
-    const std::int32_t slot = pool.acquire(storage_generation_);
+    if (pool.free.empty()) mark_all_shards_dirty();  // the pool grows
+    const std::int32_t slot = pool.acquire();
     const TaskId shadow_id = shadow.id;
     set_task_ref(shadow_id,
                  TaskRef{job.id, static_cast<int>(straggler - tasks.data()),
@@ -1154,6 +1157,7 @@ void Runtime::kill_shadow(Task& primary) {
                            TaskKind<Task>::kIsMap, obs::KillCause::kShadowRetired);
   TaskKind<Task>::finish(trackers_[static_cast<std::size_t>(shadow.node)],
                          shadow_id);
+  mark_node_dirty(shadow.node);
   set_shadow_link(primary.id, kInvalidTask);
   shadows<Task>().release(ref.shadow_slot);
   erase_task_ref(shadow_id);
@@ -1175,6 +1179,7 @@ void Runtime::win_speculative(TaskId shadow_id) {
   recorder_.attempt_killed(engine_.now(), job.id, primary.id, primary.node,
                            Kind::kIsMap, obs::KillCause::kLostRace);
   Kind::finish(trackers_[static_cast<std::size_t>(primary.node)], primary.id);
+  mark_node_dirty(primary.node);
 
   // The task completes where the shadow ran.
   Kind::adopt(primary, shadow);

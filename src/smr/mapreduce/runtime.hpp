@@ -657,9 +657,6 @@ class Runtime {
     Resolved<MapTask> maps;
     Resolved<ReduceTask> reds;
     std::vector<cluster::Occupancy> occ;
-    /// Nodes hosting a remote-reading map this tick: their load rate caps
-    /// track the per-tick network grant, so the solve can never be skipped.
-    std::vector<std::uint8_t> node_has_remote;
     /// SoA indices of the tick's network participants (node order): reduces
     /// mid-shuffle and maps reading a remote split.
     std::vector<std::uint32_t> shuffle_entries, remote_entries;
@@ -697,24 +694,14 @@ class Runtime {
     };
     std::vector<PhaseStart> phase_starts;
     std::vector<TaskId> finished_maps, finished_reduces;
-    /// Some task on an owned node changed phase since the last census
-    /// sweep: set by the control plane through mark_node_dirty and by the
-    /// shard's own window transitions, consumed by the shard's census.
-    /// While membership and every phase are unchanged and no fault
-    /// injection is armed, the census output is provably identical to the
-    /// previous tick's and the sweep is skipped.
-    bool phase_dirty = true;
-    /// Guard for reusing the SoA ref arrays across ticks: they are a pure
-    /// function of the shard's tracker running lists (membership + order)
-    /// and of the job/shadow storage those ids resolve into.  The summed
-    /// tracker versions change on every launch/finish on the shard's nodes
-    /// (versions only ever increment, so the sum cannot alias), and
-    /// storage_generation_ on every growth of jobs_ or a shadow pool, which
-    /// may move tasks of *any* shard.  While both match, only the
-    /// phase-dependent census is re-swept; ids, pointers and ranges are
-    /// reused as-is.
-    std::uint64_t resolve_version_sum = ~std::uint64_t{0};
-    std::uint64_t resolve_storage_generation = ~std::uint64_t{0};
+    /// Something the census reads changed on the shard since its last
+    /// run: a launch or finish on an owned node or a phase change there
+    /// (mark_node_dirty, also from the shard's own window transitions), or
+    /// a growth of jobs_ or a shadow pool, which may move tasks any shard
+    /// points at (mark_all_shards_dirty).  While it is clear and no fault
+    /// injection is armed, the census output is identical to the previous
+    /// tick's and the census is skipped.
+    bool dirty = true;
     /// Wall-clock instant (steady-clock seconds) this shard finished the
     /// current parallel stage; barrier stall = window max minus this.
     double stage_end = 0.0;
@@ -727,24 +714,23 @@ class Runtime {
   /// node -> owning shard.
   std::vector<std::uint16_t> node_shard_;
   ThreadPool* pool_ = nullptr;
-  /// Bumped whenever jobs_ or a shadow pool grows (and so may reallocate,
-  /// moving tasks the shards' cached SoA pointers point at).
-  std::uint64_t storage_generation_ = 0;
   /// Per-node quiescence tracking for the tick's compute solve: a node
-  /// whose tracker version is unchanged (no launch/finish), with no pure
-  /// phase transition flagged (node_dirty_), no remote-reading map, and
-  /// bit-identical shuffle background since its last solve provably
-  /// presents the same raw inputs — the cached rates are replayed without
-  /// rebuilding the loads (counted as a memo hit to keep stats identical).
+  /// not marked dirty (by a launch or finish, a phase change, or a network
+  /// grant to one of its remote-reading maps) whose shuffle background is
+  /// bit-identical since its last solve presents the same raw inputs — the
+  /// cached rates are replayed without rebuilding the loads (counted as a
+  /// memo hit to keep stats identical).
   std::vector<std::uint8_t> node_dirty_;
-  std::vector<std::uint32_t> node_solve_version_;
   std::vector<cluster::BackgroundLoad> node_bg_prev_;
   std::vector<std::vector<double>> node_rates_cache_;
   void mark_node_dirty(NodeId node) {
     if (node >= 0 && static_cast<std::size_t>(node) < node_dirty_.size()) {
       node_dirty_[static_cast<std::size_t>(node)] = 1;
-      shards_[node_shard_[static_cast<std::size_t>(node)]].phase_dirty = true;
+      shards_[node_shard_[static_cast<std::size_t>(node)]].dirty = true;
     }
+  }
+  void mark_all_shards_dirty() {
+    for (ShardScratch& s : shards_) s.dirty = true;
   }
   /// Remote-read network grants, epoch-stamped by tick so the table never
   /// needs clearing (PR 7: formerly an unordered_map rebuilt every tick).
@@ -801,15 +787,14 @@ class Runtime {
     std::vector<std::int32_t> free;
     int launches = 0;
     int wins = 0;
-    /// A free slot; growing the pool bumps `storage_generation`.
-    std::int32_t acquire(std::uint64_t& storage_generation) {
+    /// A free slot; the pool grows when none is free.
+    std::int32_t acquire() {
       if (!free.empty()) {
         const std::int32_t slot = free.back();
         free.pop_back();
         return slot;
       }
       slots.emplace_back();
-      ++storage_generation;
       return static_cast<std::int32_t>(slots.size() - 1);
     }
     void release(std::int32_t slot) {

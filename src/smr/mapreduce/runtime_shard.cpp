@@ -80,15 +80,18 @@ void Runtime::setup_shards() {
 // Resolves every running attempt on the shard's nodes once: one pass over the
 // tracker lists and the dense task-ref table builds the busy-node list (owned
 // nodes with a running attempt) and SoA views (ids / task pointers / job
-// pointers / specs), both in node order, redone only when the running sets or
-// the task storage changed.  Every later stage indexes these instead of
+// pointers / specs), both in node order, and a sweep over the views takes the
+// occupancy census and the network-participant and settle-candidate lists.
+// It runs only when the shard is marked dirty (a launch, finish or phase
+// change on an owned node, or a growth of the task storage) or a doom scan
+// is due; otherwise the scratch still holds the previous census, which is
+// identical by construction.  Every later stage indexes these instead of
 // re-resolving attempt ids, and walks the busy nodes only: an idle node has no
 // flows and no loads, so it makes no solver call whether it is visited or not,
-// and a node turning busy again has a bumped tracker version, so it
+// and a node turning busy again was marked dirty by the launch, so it
 // re-solves.  Pointers stay valid for the whole tick: no attempt launches
 // happen outside heartbeats, and teardown paths run after the stages that
-// use them.  A sweep over the views then takes the occupancy census and the
-// network-participant and settle-candidate lists.
+// use them.
 //
 // Doom detection rides it too: an attempt whose progress crossed its
 // injected-failure threshold last tick dies at this tick boundary, before
@@ -103,53 +106,40 @@ void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
     s.doomed_maps.clear();
     s.doomed_reduces.clear();
   }
-  std::uint64_t vsum = 0;
-  for (std::size_t d = lo; d < hi; ++d) vsum += trackers_[d].version();
-  const bool same_membership = vsum == s.resolve_version_sum &&
-                               storage_generation_ == s.resolve_storage_generation;
-  // Quiescence: unchanged running lists, no phase change on any owned node,
-  // no doom scan pending — the scratch still holds this shard's previous
-  // census, which is bit-identical by construction (the barrier only reads
-  // the settle candidate lists).
-  if (same_membership && !s.phase_dirty && !detect_doom) return;
-  s.phase_dirty = false;
+  if (!s.dirty && !detect_doom) return;
+  s.dirty = false;
   s.settle_primaries.clear();
   s.settle_shadows.clear();
   s.shuffle_entries.clear();
   s.remote_entries.clear();
-  if (!same_membership) {
-    s.resolve_version_sum = vsum;
-    s.resolve_storage_generation = storage_generation_;
-    s.busy.clear();
-    s.maps.clear();
-    s.reds.clear();
-    const auto resolve = [this]<class Task>(const std::vector<TaskId>& running,
-                                            ShardScratch::Resolved<Task>& out) {
-      const auto begin = static_cast<std::uint32_t>(out.id.size());
-      for (TaskId id : running) {
-        const TaskRef& ref = task_refs_[static_cast<std::size_t>(id)];
-        Job* job = &jobs_[static_cast<std::size_t>(ref.job)];
-        out.id.push_back(id);
-        out.task.push_back(&attempt_at<Task>(ref));
-        out.job.push_back(job);
-        out.spec.push_back(&job->spec);
-      }
-      out.range.emplace_back(begin, static_cast<std::uint32_t>(out.id.size()));
-    };
-    for (std::size_t d = lo; d < hi; ++d) {
-      const TaskTracker& tracker = trackers_[d];
-      if (tracker.running_map_tasks().empty() &&
-          tracker.running_reduce_tasks().empty()) {
-        continue;
-      }
-      s.busy.push_back(static_cast<NodeId>(d));
-      resolve(tracker.running_map_tasks(), s.maps);
-      resolve(tracker.running_reduce_tasks(), s.reds);
+  s.busy.clear();
+  s.maps.clear();
+  s.reds.clear();
+  const auto resolve = [this]<class Task>(const std::vector<TaskId>& running,
+                                          ShardScratch::Resolved<Task>& out) {
+    const auto begin = static_cast<std::uint32_t>(out.id.size());
+    for (TaskId id : running) {
+      const TaskRef& ref = task_refs_[static_cast<std::size_t>(id)];
+      Job* job = &jobs_[static_cast<std::size_t>(ref.job)];
+      out.id.push_back(id);
+      out.task.push_back(&attempt_at<Task>(ref));
+      out.job.push_back(job);
+      out.spec.push_back(&job->spec);
     }
+    out.range.emplace_back(begin, static_cast<std::uint32_t>(out.id.size()));
+  };
+  for (std::size_t d = lo; d < hi; ++d) {
+    const TaskTracker& tracker = trackers_[d];
+    if (tracker.running_map_tasks().empty() &&
+        tracker.running_reduce_tasks().empty()) {
+      continue;
+    }
+    s.busy.push_back(static_cast<NodeId>(d));
+    resolve(tracker.running_map_tasks(), s.maps);
+    resolve(tracker.running_reduce_tasks(), s.reds);
   }
-  // The phase-dependent census over the resolved arrays, by busy position.
+  // The census over the resolved arrays, by busy position.
   s.occ.assign(s.busy.size(), cluster::Occupancy{});
-  s.node_has_remote.assign(s.busy.size(), 0);
   for (std::size_t b = 0; b < s.busy.size(); ++b) {
     auto& o = s.occ[b];
     const auto [mb, me] = s.maps.range[b];
@@ -160,10 +150,7 @@ void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
       o.threads += 1;
       o.io_streams += remote_mapping ? 0 : 1;
       o.memory_demand += s.maps.spec[i]->map_task_memory;
-      if (remote_mapping) {
-        s.node_has_remote[b] = 1;
-        s.remote_entries.push_back(i);
-      }
+      if (remote_mapping) s.remote_entries.push_back(i);
       if (detect_doom && task->progress() >= task->fail_at_progress) {
         s.doomed_maps.push_back(s.maps.id[i]);
       }
@@ -308,23 +295,19 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
   for (std::size_t b = 0; b < busy_n; ++b) {
     const auto d = static_cast<std::size_t>(s.busy[b]);
     const auto& node_spec = config_.cluster.workers[d];
-    const auto& tracker = trackers_[d];
     const cluster::BackgroundLoad& bg = s.background[b];
     // Quiescent-node fast path.  A node's solve inputs (occupancy,
     // background, per-load coefficients) are pure functions of its running
     // set, each task's phase/local/cost_factor, the background shuffle
     // ingest, and — for remote-read maps only — the per-tick network grant.
-    // The running set is covered by the tracker version counter (bumped on
-    // every launch/finish), pure phase transitions by the explicit dirty
-    // marks in the integration and settle stages, background by a bit
-    // compare, and grant-capped loads by excluding any node hosting a
-    // remote kMapping map.  When all four say "unchanged", the previous
-    // rates are provably bit-identical and are replayed from the cache
-    // without rebuilding loads; the skipped solver call is recorded as a
-    // memo hit so the reported solver stats stay byte-identical.
+    // Every change to all but the background marks the node dirty: a launch
+    // or finish at its call site, a phase transition in the integration and
+    // settle stages, and a grant to a remote-reading map in on_tick; the
+    // background is compared bit for bit.  When neither says "changed", the
+    // previous rates are provably bit-identical and are replayed from the
+    // cache without rebuilding loads; the skipped solver call is recorded
+    // as a memo hit so the reported solver stats stay byte-identical.
     const bool quiet = !node_dirty_[d] &&
-                       tracker.version() == node_solve_version_[d] &&
-                       !s.node_has_remote[b] &&
                        bg.cpu_cores == node_bg_prev_[d].cpu_cores &&
                        bg.disk_rate == node_bg_prev_[d].disk_rate;
     if (quiet) {
@@ -345,7 +328,6 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
       continue;
     }
     node_dirty_[d] = 0;
-    node_solve_version_[d] = tracker.version();
     node_bg_prev_[d] = bg;
     s.loads.clear();
     s.load_entry.clear();
@@ -419,11 +401,8 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
   s.finished_maps.clear();
   s.finished_reduces.clear();
   const bool tracing = recorder_.tracing();
-  // Owned nodes only, so the window writes no other shard's flag.
-  auto mark_owned_dirty = [&](NodeId node) {
-    s.phase_dirty = true;
-    node_dirty_[static_cast<std::size_t>(node)] = 1;
-  };
+  // Transitions below mark owned nodes only (mark_node_dirty), so the
+  // window writes no other shard's flag.
   auto buffer_phase = [&](JobId job, TaskId task, NodeId node, bool is_map,
                           const char* phase) {
     if (tracing) s.phase_starts.push_back({job, task, node, is_map, phase});
@@ -455,12 +434,12 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
           if (task.combine_total > 0) {
             task.phase = MapPhase::kCombining;
             task.phase_done = 0.0;
-            mark_owned_dirty(task.node);
+            mark_node_dirty(task.node);
             buffer_phase(task.job, task.id, task.node, true, "COMBINE");
           } else if (task.output_size > 0) {
             task.phase = MapPhase::kSpilling;
             task.phase_done = 0.0;
-            mark_owned_dirty(task.node);
+            mark_node_dirty(task.node);
             buffer_phase(task.job, task.id, task.node, true, "SPILL");
           } else {
             s.finished_maps.push_back(s.maps.id[c.entry]);
@@ -472,7 +451,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
           if (task.output_size > 0) {
             task.phase = MapPhase::kSpilling;
             task.phase_done = 0.0;
-            mark_owned_dirty(task.node);
+            mark_node_dirty(task.node);
             buffer_phase(task.job, task.id, task.node, true, "SPILL");
           } else {
             s.finished_maps.push_back(s.maps.id[c.entry]);
@@ -493,7 +472,7 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
         if (total - task.phase_done <= kByteEps) {
           task.phase = ReducePhase::kReducing;
           task.phase_done = 0.0;
-          mark_owned_dirty(task.node);
+          mark_node_dirty(task.node);
           buffer_phase(task.job, task.id, task.node, false, "REDUCE");
         }
       } else if (task.phase == ReducePhase::kReducing) {
@@ -610,6 +589,8 @@ void Runtime::on_tick() {
       const auto id = static_cast<std::size_t>(s.maps.id[s.flow_entry[f]]);
       net_grant_rate_[id] = t.net_rates[s.flow_base + f];
       net_grant_epoch_[id] = net_grant_cur_epoch_;
+      // The grant caps the map's compute load, so its node re-solves.
+      node_dirty_[static_cast<std::size_t>(s.flows[f].dst)] = 1;
     }
   }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <vector>
 
 #include "smr/common/error.hpp"
@@ -62,27 +61,21 @@ class TaskTracker {
   const std::vector<TaskId>& running_map_tasks() const { return running_map_tasks_; }
   const std::vector<TaskId>& running_reduce_tasks() const { return running_reduce_tasks_; }
 
-  /// Bumped on every launch/finish: lets the runtime's per-tick solve skip
-  /// nodes whose running set provably has not changed since the last tick.
-  std::uint32_t version() const { return version_; }
-
+  // Every launch and finish changes what the runtime's fluid tick sees on
+  // this node; the runtime marks the node dirty at each call site.
   void launch_map(TaskId task) {
     SMR_CHECK_MSG(free_map_slots() > 0, "no free map slot on node " << node_);
     running_map_tasks_.push_back(task);
-    ++version_;
   }
   void launch_reduce(TaskId task) {
     SMR_CHECK_MSG(free_reduce_slots() > 0, "no free reduce slot on node " << node_);
     running_reduce_tasks_.push_back(task);
-    ++version_;
   }
   void finish_map(TaskId task) {
     remove(running_map_tasks_, task);
-    ++version_;
   }
   void finish_reduce(TaskId task) {
     remove(running_reduce_tasks_, task);
-    ++version_;
   }
 
  private:
@@ -95,7 +88,6 @@ class TaskTracker {
   NodeId node_;
   int map_target_;
   int reduce_target_;
-  std::uint32_t version_ = 0;
   bool blacklisted_ = false;
   std::vector<TaskId> running_map_tasks_;
   std::vector<TaskId> running_reduce_tasks_;
