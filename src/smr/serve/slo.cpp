@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "smr/common/error.hpp"
+#include "smr/common/json.hpp"
 #include "smr/common/stats.hpp"
 
 namespace smr::serve {
@@ -137,15 +138,6 @@ void json_number(std::ostream& out, double value) {
   }
 }
 
-void json_string(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (char c : text) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
 void write_latency(std::ostream& out, const LatencyStats& stats) {
   out << "{\"count\":" << stats.count << ",\"mean_s\":";
   json_number(out, stats.mean);
@@ -162,7 +154,7 @@ void write_latency(std::ostream& out, const LatencyStats& stats) {
 
 void write_tenant(std::ostream& out, const TenantReport& tenant) {
   out << "{\"name\":";
-  json_string(out, tenant.name);
+  write_json_string(out, tenant.name);
   out << ",\"arrived\":" << tenant.arrived << ",\"shed\":" << tenant.shed
       << ",\"deferred\":" << tenant.deferred
       << ",\"completed\":" << tenant.completed
@@ -180,11 +172,11 @@ void write_tenant(std::ostream& out, const TenantReport& tenant) {
 
 void ServeReport::write_json(std::ostream& out) const {
   out << "{\"engine\":";
-  json_string(out, engine);
+  write_json_string(out, engine);
   out << ",\"scheduler\":";
-  json_string(out, scheduler);
+  write_json_string(out, scheduler);
   out << ",\"admission\":";
-  json_string(out, admission);
+  write_json_string(out, admission);
   out << ",\"offered_jobs_per_hour\":";
   json_number(out, offered_jobs_per_hour);
   out << ",\"warmup_s\":";
@@ -195,7 +187,7 @@ void ServeReport::write_json(std::ostream& out) const {
   json_number(out, makespan);
   out << ",\"completed\":" << (completed ? "true" : "false")
       << ",\"failure_reason\":";
-  json_string(out, failure_reason);
+  write_json_string(out, failure_reason);
   out << ",\"unfinished\":" << unfinished << ",\"utilization\":";
   json_number(out, utilization);
   out << ",\"aggregate\":";

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
+#include <string>
+
+#include "smr/common/json.hpp"
 
 namespace smr::serve {
 namespace {
@@ -144,6 +149,31 @@ TEST(ServeReport, JsonCarriesCountsAndTenants) {
   EXPECT_NE(json.find("\"name\":\"a\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"b\""), std::string::npos);
   EXPECT_NE(json.find("\"p50_s\":60"), std::string::npos);
+}
+
+TEST(ServeReport, JsonEscapesControlCharactersInTenantNames) {
+  // Tenant names come from --arrivals-csv verbatim, control bytes included.
+  SloTracker tracker(/*warmup_end=*/0.0, /*measure_end=*/100.0,
+                     {"te\tam", "a\x01" "b"});
+  ServeReport report;
+  tracker.fill(report);
+
+  std::stringstream out;
+  report.write_json(out);
+  const std::string text = out.str();
+  // Strict JSON has no raw control bytes inside strings (parse_json
+  // itself tolerates them, so check the bytes first).
+  EXPECT_TRUE(std::none_of(text.begin(), text.end(),
+                           [](unsigned char c) { return c < 0x20; }))
+      << text;
+  std::string error;
+  const std::optional<JsonValue> json = parse_json(text, &error);
+  ASSERT_TRUE(json.has_value()) << error;
+  const JsonValue* tenants = json->find("tenants");
+  ASSERT_NE(tenants, nullptr);
+  ASSERT_EQ(tenants->as_array().size(), 2u);
+  EXPECT_EQ(tenants->as_array()[0].find("name")->as_string(), "te\tam");
+  EXPECT_EQ(tenants->as_array()[1].find("name")->as_string(), "a\x01" "b");
 }
 
 }  // namespace
