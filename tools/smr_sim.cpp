@@ -14,7 +14,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "smr/alloc/registry.hpp"
 #include "smr/common/flags.hpp"
@@ -325,6 +327,7 @@ int main(int argc, char** argv) {
   const std::string critpath_path = flags.get_string("critpath-out");
   const std::string shards_path = flags.get_string("shards-out");
   const bool want_spans = !spans_path.empty() || !critpath_path.empty();
+  std::optional<metrics::RunResult> instrumented;
   if (!trace_path.empty() || !metrics_path.empty() || !decisions_path.empty() ||
       want_spans || !shards_path.empty()) {
     metrics::TraceLog trace;
@@ -346,11 +349,11 @@ int main(int argc, char** argv) {
     for (const auto& submission : submissions) {
       runtime.submit(submission.spec, submission.submit_at);
     }
-    const metrics::RunResult instrumented = runtime.run();
+    instrumented = runtime.run();
 
     obs::EngineProfile profile;
     profile.wall_seconds = stopwatch.seconds();
-    profile.sim_seconds = instrumented.makespan;
+    profile.sim_seconds = instrumented->makespan;
     profile.events = runtime.engine().dispatched();
     profile.peak_pending = runtime.engine().peak_pending();
     profile.trace_events = trace.size();
@@ -414,7 +417,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  const metrics::RunResult result = driver::run_experiment(config, submissions);
+  // With one trial the instrumented run is that trial (same seed, and
+  // averaging one trial is the identity), so it is not simulated again.
+  // With more trials every trial is run afresh and averaged as usual.
+  const metrics::RunResult result =
+      instrumented.has_value() && config.trials == 1
+          ? std::move(*instrumented)
+          : driver::run_experiment(config, submissions);
 
   std::printf("engine=%s scheduler=%s nodes=%d slots=%d+%d trials=%d\n\n",
               driver::policy_label(config).c_str(),
