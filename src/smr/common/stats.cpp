@@ -1,56 +1,11 @@
 #include "smr/common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "smr/common/error.hpp"
 
 namespace smr {
-
-void OnlineStats::add(double x) {
-  ++n_;
-  sum_ += x;
-  if (n_ == 1) {
-    mean_ = x;
-    min_ = x;
-    max_ = x;
-    m2_ = 0.0;
-    return;
-  }
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void OnlineStats::reset() { *this = OnlineStats{}; }
-
-double OnlineStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-Ewma::Ewma(double alpha) : alpha_(alpha) {
-  SMR_CHECK(alpha > 0.0 && alpha <= 1.0);
-}
-
-void Ewma::add(double x) {
-  if (!has_value_) {
-    value_ = x;
-    has_value_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-}
-
-void Ewma::reset() {
-  value_ = 0.0;
-  has_value_ = false;
-}
 
 WindowedRate::WindowedRate(SimTime window) : window_(window) {
   SMR_CHECK(window > 0.0);
@@ -75,15 +30,6 @@ Rate WindowedRate::rate() const {
   const SimTime dt = newest.t - oldest.t;
   if (dt <= 0.0) return 0.0;
   return (newest.v - oldest.v) / dt;
-}
-
-Rate WindowedRate::instantaneous() const {
-  if (samples_.size() < 2) return 0.0;
-  const Sample& a = samples_[samples_.size() - 2];
-  const Sample& b = samples_.back();
-  const SimTime dt = b.t - a.t;
-  if (dt <= 0.0) return 0.0;
-  return (b.v - a.v) / dt;
 }
 
 void WindowedRate::reset() { samples_.clear(); }

@@ -10,48 +10,6 @@
 
 namespace smr {
 
-/// Welford online mean/variance with min/max tracking.
-class OnlineStats {
- public:
-  void add(double x);
-  void reset();
-
-  std::size_t count() const { return n_; }
-  bool empty() const { return n_ == 0; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 with fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-/// Exponentially-weighted moving average of a sampled value.
-class Ewma {
- public:
-  /// `alpha` is the weight of the newest sample, in (0, 1].
-  explicit Ewma(double alpha = 0.3);
-
-  void add(double x);
-  void reset();
-  bool has_value() const { return has_value_; }
-  double value() const { return value_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool has_value_ = false;
-};
-
 /// Windowed rate estimator over simulated time.
 ///
 /// The control plane feeds it (time, cumulative-bytes) observations from
@@ -71,9 +29,6 @@ class WindowedRate {
   /// Average rate over (approximately) the last `window` seconds.
   /// Returns 0 until two observations spanning positive time exist.
   Rate rate() const;
-
-  /// Rate between the two most recent observations (instantaneous view).
-  Rate instantaneous() const;
 
   void reset();
   SimTime window() const { return window_; }

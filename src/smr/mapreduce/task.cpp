@@ -4,26 +4,6 @@
 
 namespace smr::mapreduce {
 
-const char* to_string(MapPhase phase) {
-  switch (phase) {
-    case MapPhase::kMapping: return "MAP";
-    case MapPhase::kCombining: return "COMBINE";
-    case MapPhase::kSpilling: return "SPILL";
-    case MapPhase::kDone: return "DONE";
-  }
-  return "?";
-}
-
-const char* to_string(ReducePhase phase) {
-  switch (phase) {
-    case ReducePhase::kShuffling: return "SHUFFLE";
-    case ReducePhase::kSorting: return "SORT";
-    case ReducePhase::kReducing: return "REDUCE";
-    case ReducePhase::kDone: return "DONE";
-  }
-  return "?";
-}
-
 double MapTask::progress() const {
   auto frac = [this] {
     const double total = phase_total();

@@ -8,9 +8,6 @@ namespace smr::mapreduce {
 enum class MapPhase { kMapping, kCombining, kSpilling, kDone };
 enum class ReducePhase { kShuffling, kSorting, kReducing, kDone };
 
-const char* to_string(MapPhase phase);
-const char* to_string(ReducePhase phase);
-
 /// Sentinel progress threshold meaning "this attempt will not be failed by
 /// the fault injector" (progress() never exceeds 1.0).
 inline constexpr double kNeverFail = 2.0;

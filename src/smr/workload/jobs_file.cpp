@@ -5,7 +5,6 @@
 #include <fstream>
 #include <istream>
 #include <limits>
-#include <ostream>
 #include <sstream>
 
 #include "smr/common/error.hpp"
@@ -103,15 +102,6 @@ std::vector<TimedJob> load_jobs_csv(const std::string& path) {
   std::ifstream in(path);
   if (!in.good()) throw SmrError("cannot read jobs csv '" + path + "'");
   return parse_jobs_csv(in);
-}
-
-void write_jobs_csv(const std::vector<TimedJob>& jobs, std::ostream& out) {
-  out << "benchmark,input_gib,submit_at,reduce_tasks\n";
-  for (const auto& job : jobs) {
-    out << job.spec.name << ','
-        << static_cast<double>(job.spec.input_size) / static_cast<double>(kGiB)
-        << ',' << job.submit_at << ',' << job.spec.reduce_tasks << '\n';
-  }
 }
 
 }  // namespace smr::workload

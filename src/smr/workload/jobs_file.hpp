@@ -25,8 +25,4 @@ std::vector<TimedJob> parse_jobs_csv(std::istream& in);
 /// Parse a job list from a file.  Throws SmrError if unreadable.
 std::vector<TimedJob> load_jobs_csv(const std::string& path);
 
-/// Serialise a job list back to CSV (inverse of parse for the supported
-/// fields).
-void write_jobs_csv(const std::vector<TimedJob>& jobs, std::ostream& out);
-
 }  // namespace smr::workload

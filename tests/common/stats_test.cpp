@@ -10,66 +10,6 @@
 namespace smr {
 namespace {
 
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(OnlineStats, SingleSample) {
-  OnlineStats s;
-  s.add(4.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 4.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-}
-
-TEST(OnlineStats, MatchesClosedForm) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStats, ResetClears) {
-  OnlineStats s;
-  s.add(1.0);
-  s.reset();
-  EXPECT_TRUE(s.empty());
-}
-
-TEST(Ewma, FirstSampleAdoptedDirectly) {
-  Ewma e(0.5);
-  EXPECT_FALSE(e.has_value());
-  e.add(10.0);
-  EXPECT_TRUE(e.has_value());
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-}
-
-TEST(Ewma, ConvergesTowardConstantInput) {
-  Ewma e(0.3);
-  for (int i = 0; i < 100; ++i) e.add(5.0);
-  EXPECT_NEAR(e.value(), 5.0, 1e-9);
-}
-
-TEST(Ewma, WeightsNewestSample) {
-  Ewma e(0.5);
-  e.add(0.0);
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 5.0);
-}
-
-TEST(Ewma, RejectsInvalidAlpha) {
-  EXPECT_THROW(Ewma(0.0), SmrError);
-  EXPECT_THROW(Ewma(1.5), SmrError);
-}
-
 TEST(WindowedRate, NeedsTwoSamples) {
   WindowedRate r(10.0);
   EXPECT_DOUBLE_EQ(r.rate(), 0.0);
@@ -81,7 +21,6 @@ TEST(WindowedRate, ConstantRateMeasuredExactly) {
   WindowedRate r(10.0);
   for (int i = 0; i <= 20; ++i) r.observe(i, 100.0 * i);
   EXPECT_NEAR(r.rate(), 100.0, 1e-9);
-  EXPECT_NEAR(r.instantaneous(), 100.0, 1e-9);
 }
 
 TEST(WindowedRate, ForgetsOldRegime) {

@@ -74,15 +74,5 @@ TEST(ReduceTask, BacklogIsAvailableMinusFetched) {
   EXPECT_DOUBLE_EQ(task.backlog(), 60.0);
 }
 
-TEST(PhaseNames, Stringify) {
-  EXPECT_STREQ(to_string(MapPhase::kMapping), "MAP");
-  EXPECT_STREQ(to_string(MapPhase::kSpilling), "SPILL");
-  EXPECT_STREQ(to_string(MapPhase::kDone), "DONE");
-  EXPECT_STREQ(to_string(ReducePhase::kShuffling), "SHUFFLE");
-  EXPECT_STREQ(to_string(ReducePhase::kSorting), "SORT");
-  EXPECT_STREQ(to_string(ReducePhase::kReducing), "REDUCE");
-  EXPECT_STREQ(to_string(ReducePhase::kDone), "DONE");
-}
-
 }  // namespace
 }  // namespace smr::mapreduce

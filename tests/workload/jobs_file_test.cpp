@@ -81,24 +81,6 @@ TEST(JobsCsv, EmptyStreamGivesEmptyList) {
   EXPECT_TRUE(parse_jobs_csv(in).empty());
 }
 
-TEST(JobsCsv, RoundTripsThroughWriter) {
-  std::istringstream in(
-      "terasort,30,0,30\n"
-      "grep,8,15,12\n");
-  const auto jobs = parse_jobs_csv(in);
-  std::ostringstream out;
-  write_jobs_csv(jobs, out);
-  std::istringstream again(out.str());
-  const auto reparsed = parse_jobs_csv(again);
-  ASSERT_EQ(reparsed.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(reparsed[i].spec.name, jobs[i].spec.name);
-    EXPECT_EQ(reparsed[i].spec.input_size, jobs[i].spec.input_size);
-    EXPECT_DOUBLE_EQ(reparsed[i].submit_at, jobs[i].submit_at);
-    EXPECT_EQ(reparsed[i].spec.reduce_tasks, jobs[i].spec.reduce_tasks);
-  }
-}
-
 TEST(JobsCsv, MissingFileThrows) {
   EXPECT_THROW(load_jobs_csv("/no/such/file.csv"), SmrError);
 }
