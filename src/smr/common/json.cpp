@@ -165,6 +165,9 @@ class Parser {
     while (pos_ < text_.size()) {
       char c = text_[pos_++];
       if (c == '"') return JsonValue(std::move(out));
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return fail("unescaped control character in string");
+      }
       if (c != '\\') {
         out.push_back(c);
         continue;

@@ -38,14 +38,27 @@ std::vector<TraceEvent> TraceLog::of_kind(TraceEventKind kind) const {
   return matching;
 }
 
+void TraceLog::record(const TraceEvent& event) {
+  const std::string_view detail = intern(event.detail);
+  events_.push_back(event).detail = detail;
+}
+
+std::string_view TraceLog::intern(std::string_view text) {
+  if (text.empty()) return {};
+  auto it = details_.find(text);
+  if (it == details_.end()) it = details_.emplace(text).first;
+  return *it;
+}
+
 std::size_t TraceLog::memory_bytes() const {
-  std::size_t bytes = events_.capacity() * sizeof(TraceEvent);
-  for (const auto& event : events_) {
-    // Only out-of-line string storage counts; SSO buffers are part of
-    // sizeof(TraceEvent) already.
-    if (event.detail.capacity() > sizeof(std::string)) {
-      bytes += event.detail.capacity();
-    }
+  // A pool node holds the string, the bucket link and the cached hash; the
+  // text itself is out of line only past the short-string buffer.
+  const std::size_t inline_capacity = std::string().capacity();
+  std::size_t bytes =
+      events_.memory_bytes() + details_.bucket_count() * sizeof(void*);
+  for (const std::string& detail : details_) {
+    bytes += sizeof(std::string) + 2 * sizeof(void*);
+    if (detail.capacity() > inline_capacity) bytes += detail.capacity() + 1;
   }
   return bytes;
 }
@@ -70,7 +83,7 @@ void TraceLog::write_chrome_trace(std::ostream& stream,
   // task, or with the task's finish/kill.
   struct OpenPhase {
     SimTime start = 0.0;
-    const std::string* name = nullptr;  // the event's detail, not a copy
+    std::string_view name;  // the event's detail
     NodeId node = kInvalidNode;
     JobId job = kInvalidJob;
   };
@@ -85,7 +98,7 @@ void TraceLog::write_chrome_trace(std::ostream& stream,
   auto emit = [&](const OpenPhase& phase, TaskId task, SimTime end) {
     comma();
     out << "\n{\"name\":";
-    out.json_string(*phase.name);
+    out.json_string(phase.name);
     out << ",\"ph\":\"X\",\"pid\":" << phase.node << ",\"tid\":" << task
         << ",\"ts\":" << phase.start * 1e6
         << ",\"dur\":" << (end - phase.start) * 1e6
@@ -131,7 +144,7 @@ void TraceLog::write_chrome_trace(std::ostream& stream,
         if (auto it = open.find(e.task); it != open.end()) {
           emit(it->second, e.task, e.time);
         }
-        open[e.task] = OpenPhase{e.time, &e.detail, e.node, e.job};
+        open[e.task] = OpenPhase{e.time, e.detail, e.node, e.job};
         break;
       }
       case TraceEventKind::kTaskLaunched: {

@@ -5,10 +5,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
+#include "smr/common/chunked_vector.hpp"
 #include "smr/common/types.hpp"
 
 namespace smr::obs {
@@ -17,7 +21,7 @@ class SpanLog;
 
 namespace smr::metrics {
 
-enum class TraceEventKind {
+enum class TraceEventKind : std::uint8_t {
   kJobSubmitted,
   kTaskLaunched,
   kPhaseStarted,   // detail = phase name (MAP/SPILL/SHUFFLE/SORT/REDUCE)
@@ -37,31 +41,48 @@ enum class TraceEventKind {
 
 const char* to_string(TraceEventKind kind);
 
+/// Fields ordered widest first, so an event packs into 48 bytes and owns no
+/// heap memory.
 struct TraceEvent {
   SimTime time = 0.0;
-  TraceEventKind kind = TraceEventKind::kTaskLaunched;
+  double value = 0.0;
+  /// In a recorded event, a view of the log's own copy of the text (see
+  /// TraceLog::record); valid as long as the log.
+  std::string_view detail;
   JobId job = kInvalidJob;
   TaskId task = kInvalidTask;
   NodeId node = kInvalidNode;
+  TraceEventKind kind = TraceEventKind::kTaskLaunched;
   bool is_map = true;
-  std::string detail;
-  double value = 0.0;
 };
 
 class TraceLog {
  public:
-  void record(TraceEvent event) { events_.push_back(std::move(event)); }
-  const std::vector<TraceEvent>& events() const { return events_; }
+  TraceLog() = default;
+  // Recorded details view this log's pool: a copy would view the original's.
+  TraceLog(const TraceLog&) = delete;
+  TraceLog& operator=(const TraceLog&) = delete;
+  TraceLog(TraceLog&&) = default;
+  TraceLog& operator=(TraceLog&&) = default;
+
+  /// Appends `event` with its detail interned: each distinct text is stored
+  /// once in the log's pool, looked up before anything is allocated, so the
+  /// caller's text may die right after the call.
+  void record(const TraceEvent& event);
+  const ChunkedVector<TraceEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
-  void clear() { events_.clear(); }
+  void clear() {
+    events_.clear();
+    details_.clear();
+  }
 
   /// Events of one kind, in time order (the log itself is time-ordered
   /// because the simulation is).
   std::vector<TraceEvent> of_kind(TraceEventKind kind) const;
 
-  /// Approximate heap footprint of the log (self-profiling): vector
-  /// capacity plus out-of-line detail strings.
+  /// Approximate heap footprint of the log (self-profiling): the event
+  /// chunks plus the detail pool.
   std::size_t memory_bytes() const;
 
   /// Chrome trace-viewer JSON (load in chrome://tracing or Perfetto):
@@ -87,7 +108,19 @@ class TraceLog {
   void write_chrome_trace(std::ostream& out, const obs::SpanLog* spans) const;
 
  private:
-  std::vector<TraceEvent> events_;
+  struct DetailHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>()(text);
+    }
+  };
+
+  /// The pool's copy of `text` (empty text needs none).  The set's nodes
+  /// never move, so neither does a view of a pooled string.
+  std::string_view intern(std::string_view text);
+
+  ChunkedVector<TraceEvent> events_;
+  std::unordered_set<std::string, DetailHash, std::equal_to<>> details_;
 };
 
 }  // namespace smr::metrics

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "smr/common/chunked_vector.hpp"
 #include "smr/common/types.hpp"
 
 namespace smr::obs {
@@ -75,7 +76,7 @@ class DecisionLog {
     decision.id = static_cast<int>(decisions_.size());
     decisions_.push_back(std::move(decision));
   }
-  const std::vector<SlotDecision>& decisions() const { return decisions_; }
+  const ChunkedVector<SlotDecision>& decisions() const { return decisions_; }
   std::size_t size() const { return decisions_.size(); }
   bool empty() const { return decisions_.empty(); }
   void clear() { decisions_.clear(); }
@@ -84,7 +85,7 @@ class DecisionLog {
   std::vector<SlotDecision> of_action(SlotAction action) const;
 
  private:
-  std::vector<SlotDecision> decisions_;
+  ChunkedVector<SlotDecision> decisions_;
 };
 
 /// One CSV row per decision (header included; reason CSV-quoted):

@@ -1,11 +1,18 @@
 #include "smr/obs/run_recorder.hpp"
 
+#include <iterator>
 #include <utility>
 
 namespace smr::obs {
 
 namespace {
 using metrics::TraceEventKind;
+
+constexpr const char* kSeriesNames[] = {
+    "slots.map_target",      "slots.reduce_target", "tasks.running_maps",
+    "tasks.running_reduces", "queue.pending_maps",  "queue.pending_reduces",
+    "shuffle.bytes_in_flight",
+};
 
 // Dense-vector accessors: read without growing, write grows on demand.
 SpanId slot_get(const std::vector<SpanId>& table, TaskId id) {
@@ -22,6 +29,15 @@ void slot_set(std::vector<SpanId>& table, TaskId id, SpanId value) {
 }
 }  // namespace
 
+void RunRecorder::set_metrics(MetricsRegistry* metrics) {
+  if (metrics != metrics_) {
+    counters_ = {};
+    durations_ = {};
+    series_ = {};
+  }
+  metrics_ = metrics;
+}
+
 void RunRecorder::job_finished(SimTime now, const JobLabel& job) {
   trace(now, TraceEventKind::kJobFinished, job.id, kInvalidTask, kInvalidNode, true);
   close_job(now, job, SpanOutcome::kOk);
@@ -30,9 +46,9 @@ void RunRecorder::job_finished(SimTime now, const JobLabel& job) {
 void RunRecorder::job_failed(SimTime now, const JobLabel& job,
                              const std::string& reason) {
   trace(now, TraceEventKind::kJobFailed, job.id, kInvalidTask, kInvalidNode, true,
-        reason.c_str());
+        reason);
   close_job(now, job, SpanOutcome::kFailed);
-  count("jobs.failed");
+  count(kJobsFailed);
 }
 
 void RunRecorder::reduce_eligible(SimTime now, const JobLabel& job) {
@@ -58,7 +74,7 @@ void RunRecorder::attempt_launched(SimTime now, const JobLabel& job,
                                    TaskId attempt, TaskId primary, NodeId node,
                                    bool is_map) {
   const bool speculative = attempt != primary;
-  count(is_map ? "tasks.map_launches" : "tasks.reduce_launches");
+  count(is_map ? kMapLaunches : kReduceLaunches);
   trace(now, TraceEventKind::kTaskLaunched, job.id, attempt, node, is_map,
         speculative ? "speculative" : "");
   trace(now, TraceEventKind::kPhaseStarted, job.id, attempt, node, is_map,
@@ -120,10 +136,12 @@ void RunRecorder::attempt_finished(SimTime now, JobId job, TaskId task,
                                    TaskId attempt, NodeId node, bool is_map,
                                    SimTime duration) {
   if (metrics_ != nullptr) {
-    metrics_
-        ->histogram(is_map ? "task.map_duration_s" : "task.reduce_duration_s",
-                    kDurationBounds)
-        .observe(duration);
+    Histogram*& histogram = durations_[is_map ? 0 : 1];
+    if (histogram == nullptr) {
+      histogram = &metrics_->histogram(
+          is_map ? "task.map_duration_s" : "task.reduce_duration_s", kDurationBounds);
+    }
+    histogram->observe(duration);
   }
   trace(now, TraceEventKind::kTaskFinished, job, task, node, is_map);
   end_attempt(now, attempt, SpanOutcome::kOk);
@@ -131,7 +149,7 @@ void RunRecorder::attempt_finished(SimTime now, JobId job, TaskId task,
 
 void RunRecorder::attempt_killed(SimTime now, JobId job, TaskId attempt,
                                  NodeId node, bool is_map, KillCause cause) {
-  count("tasks.kills");
+  count(kKills);
   trace(now, TraceEventKind::kTaskKilled, job, attempt, node, is_map,
         cause == KillCause::kShadowRetired ? "speculative"
         : cause == KillCause::kLostRace    ? "lost-race"
@@ -144,7 +162,7 @@ void RunRecorder::attempt_failed(SimTime now, JobId job, TaskId attempt,
                                  TaskId primary, NodeId node, bool is_map,
                                  int failed_attempts, bool retried) {
   const bool speculative = attempt != primary;
-  count(is_map ? "tasks.map_attempt_failures" : "tasks.reduce_attempt_failures");
+  count(is_map ? kMapAttemptFailures : kReduceAttemptFailures);
   trace(now, TraceEventKind::kTaskAttemptFailed, job, attempt, node, is_map,
         speculative ? "injected-speculative" : "injected",
         static_cast<double>(failed_attempts));
@@ -152,12 +170,12 @@ void RunRecorder::attempt_failed(SimTime now, JobId job, TaskId attempt,
   // own close would report kKilled); mark the retry link for a relaunch.
   if (!speculative) mark_retry(primary, attempt);
   end_attempt(now, attempt, SpanOutcome::kFailed);
-  if (retried) count("tasks.retries");
+  if (retried) count(kRetries);
 }
 
 void RunRecorder::completed_map_lost(SimTime now, JobId job, TaskId task,
                                      NodeId node) {
-  count("tasks.kills");
+  count(kKills);
   trace(now, TraceEventKind::kTaskKilled, job, task, node, true);
   // The re-execution retries the completed attempt, whose span is closed:
   // mark_retry links it through the last-attempt record.
@@ -178,18 +196,18 @@ void RunRecorder::shuffle_settled(SimTime now, JobId job, TaskId attempt,
 
 void RunRecorder::node_failed(SimTime now, NodeId node) {
   trace(now, TraceEventKind::kNodeFailed, kInvalidJob, kInvalidTask, node, true);
-  count("nodes.failed");
+  count(kNodesFailed);
 }
 
 void RunRecorder::node_recovered(SimTime now, NodeId node) {
   trace(now, TraceEventKind::kNodeRecovered, kInvalidJob, kInvalidTask, node, true);
-  count("nodes.recovered");
+  count(kNodesRecovered);
 }
 
 void RunRecorder::node_blacklisted(SimTime now, NodeId node, int failures) {
   trace(now, TraceEventKind::kNodeBlacklisted, kInvalidJob, kInvalidTask, node,
         true, "", static_cast<double>(failures));
-  count("nodes.blacklisted");
+  count(kNodesBlacklisted);
 }
 
 void RunRecorder::slot_targets(SimTime now, int map_total, int reduce_total) {
@@ -209,19 +227,19 @@ void RunRecorder::slot_targets(SimTime now, int map_total, int reduce_total) {
 void RunRecorder::policy_period(SimTime now, const DecisionLog* decisions,
                                 std::size_t first_new) {
   refresh_decisions(decisions);
-  count("policy.periods");
+  count(kPolicyPeriods);
   if (trace_ == nullptr || decisions == nullptr) return;
   // Mirror the period's audit records into the trace so Perfetto shows the
   // control loop's reasoning next to the task slices.
   for (std::size_t i = first_new; i < decisions->size(); ++i) {
     const SlotDecision& d = decisions->decisions()[i];
-    std::string detail = to_string(d.action);
+    decision_detail_ = to_string(d.action);
     if (!d.reason.empty()) {
-      detail += ": ";
-      detail += d.reason;
+      decision_detail_ += ": ";
+      decision_detail_ += d.reason;
     }
     trace(now, TraceEventKind::kPolicyDecision, kInvalidJob, kInvalidTask,
-          kInvalidNode, true, detail.c_str(), d.balance_factor.value_or(0.0));
+          kInvalidNode, true, decision_detail_, d.balance_factor.value_or(0.0));
   }
 }
 
@@ -229,13 +247,17 @@ void RunRecorder::sample(SimTime now, const metrics::SlotSample& totals,
                          double pending_maps, double pending_reduces,
                          double shuffle_backlog) {
   if (metrics_ == nullptr) return;
-  metrics_->series("slots.map_target").append(now, totals.map_target);
-  metrics_->series("slots.reduce_target").append(now, totals.reduce_target);
-  metrics_->series("tasks.running_maps").append(now, totals.running_maps);
-  metrics_->series("tasks.running_reduces").append(now, totals.running_reduces);
-  metrics_->series("queue.pending_maps").append(now, pending_maps);
-  metrics_->series("queue.pending_reduces").append(now, pending_reduces);
-  metrics_->series("shuffle.bytes_in_flight").append(now, shuffle_backlog);
+  static_assert(std::size(kSeriesNames) == kSeriesCount);
+  if (series_[0] == nullptr) {
+    for (std::size_t i = 0; i < kSeriesCount; ++i) {
+      series_[i] = &metrics_->series(kSeriesNames[i]);
+    }
+  }
+  const double values[kSeriesCount] = {
+      totals.map_target,      totals.reduce_target, totals.running_maps,
+      totals.running_reduces, pending_maps,         pending_reduces,
+      shuffle_backlog};
+  for (std::size_t i = 0; i < kSeriesCount; ++i) series_[i]->append(now, values[i]);
 }
 
 void RunRecorder::abort(SimTime now, const DecisionLog* decisions) {
@@ -346,10 +368,10 @@ void RunRecorder::refresh_decisions(const DecisionLog* decisions) {
 }
 
 void RunRecorder::trace(SimTime now, TraceEventKind kind, JobId job, TaskId task,
-                        NodeId node, bool is_map, const char* detail,
+                        NodeId node, bool is_map, std::string_view detail,
                         double value) {
   if (trace_ != nullptr) {
-    trace_->record({now, kind, job, task, node, is_map, detail, value});
+    trace_->record({now, value, detail, job, task, node, kind, is_map});
   }
 }
 

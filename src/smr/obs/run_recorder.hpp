@@ -15,8 +15,10 @@
 // types.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "smr/common/types.hpp"
@@ -47,7 +49,7 @@ class RunRecorder {
  public:
   // Each sink is optional and must outlive the run.
   void set_trace(metrics::TraceLog* trace) { trace_ = trace; }
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
+  void set_metrics(MetricsRegistry* metrics);
   void set_spans(SpanLog* spans) { spans_ = spans; }
   /// Slot-target totals and sampled series are worth computing only when
   /// these hold.
@@ -100,7 +102,7 @@ class RunRecorder {
   /// moved them: each is traced when it differs from the one last traced
   /// (the first call traces both, seeding the counter tracks).
   void slot_targets(SimTime now, int map_total, int reduce_total);
-  void heartbeat() { count("heartbeats.processed"); }
+  void heartbeat() { count(kHeartbeats); }
   /// A policy period ran and appended the rows of `decisions` from
   /// `first_new` on.
   void policy_period(SimTime now, const DecisionLog* decisions,
@@ -115,6 +117,40 @@ class RunRecorder {
   void run_end(SimTime makespan, bool completed);
 
  private:
+  /// The counters the recorder bumps, named by kCounterNames.
+  enum CounterId : std::size_t {
+    kHeartbeats,
+    kJobsFailed,
+    kMapLaunches,
+    kReduceLaunches,
+    kKills,
+    kMapAttemptFailures,
+    kReduceAttemptFailures,
+    kRetries,
+    kNodesFailed,
+    kNodesRecovered,
+    kNodesBlacklisted,
+    kPolicyPeriods,
+    kCounterIds,
+  };
+  static constexpr const char* kCounterNames[kCounterIds] = {
+      "heartbeats.processed",
+      "jobs.failed",
+      "tasks.map_launches",
+      "tasks.reduce_launches",
+      "tasks.kills",
+      "tasks.map_attempt_failures",
+      "tasks.reduce_attempt_failures",
+      "tasks.retries",
+      "nodes.failed",
+      "nodes.recovered",
+      "nodes.blacklisted",
+      "policy.periods",
+  };
+  static_assert(kCounterNames[kCounterIds - 1] != nullptr, "a counter has no name");
+  /// The cluster-level series sample() appends to, in kSeriesNames order.
+  static constexpr std::size_t kSeriesCount = 7;
+
   /// Per-job span state, dense by JobId (job == kInvalidSpan: not opened).
   struct JobSpans {
     SpanId job = kInvalidSpan;
@@ -139,14 +175,28 @@ class RunRecorder {
   void close_span(SpanId& id, SimTime end, SpanOutcome outcome);
   void refresh_decisions(const DecisionLog* decisions);
   void trace(SimTime now, metrics::TraceEventKind kind, JobId job, TaskId task,
-             NodeId node, bool is_map, const char* detail = "", double value = 0.0);
-  void count(const char* name) {
-    if (metrics_ != nullptr) metrics_->counter(name).inc();
+             NodeId node, bool is_map, std::string_view detail = {},
+             double value = 0.0);
+  /// Inline, so a run with no registry pays only the null test.
+  void count(CounterId id) {
+    if (metrics_ == nullptr) return;
+    Counter*& counter = counters_[id];
+    if (counter == nullptr) counter = &metrics_->counter(kCounterNames[id]);
+    counter->inc();
   }
 
   metrics::TraceLog* trace_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
   SpanLog* spans_ = nullptr;
+
+  /// Instruments of metrics_, each looked up by name on its first use (so
+  /// one never touched never appears in the registry) and cached after it;
+  /// null until then.  set_metrics drops them when the registry changes.
+  std::array<Counter*, kCounterIds> counters_{};
+  std::array<Histogram*, 2> durations_{};  // map, reduce attempts
+  std::array<Series*, kSeriesCount> series_{};
+  /// Reused buffer for the policy-decision trace detail.
+  std::string decision_detail_;
 
   SpanId run_span_ = kInvalidSpan;
   std::vector<JobSpans> job_spans_;

@@ -43,8 +43,7 @@ SpanId SpanLog::open(SpanKind kind, std::string name, SimTime start,
     // attempts_of_job works without the caller re-stating it.
     span.job = spans_[static_cast<std::size_t>(parent)].job;
   }
-  spans_.push_back(std::move(span));
-  return spans_.back().id;
+  return spans_.push_back(std::move(span)).id;
 }
 
 void SpanLog::close(SpanId id, SimTime end, SpanOutcome outcome) {

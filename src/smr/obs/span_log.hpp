@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "smr/common/chunked_vector.hpp"
 #include "smr/common/types.hpp"
 
 namespace smr::obs {
@@ -88,7 +89,9 @@ struct Span {
 };
 
 /// Append-only span store.  Ids are dense indices into spans(); open() and
-/// close() are O(1).  Not thread-safe (one log per runtime, like TraceLog).
+/// close() are O(1), and a span never moves, so a Span& from at() stays
+/// valid across later open() calls.  Not thread-safe (one log per runtime,
+/// like TraceLog).
 class SpanLog {
  public:
   SpanId open(SpanKind kind, std::string name, SimTime start,
@@ -99,7 +102,7 @@ class SpanLog {
   Span& at(SpanId id);
   const Span& at(SpanId id) const;
 
-  const std::vector<Span>& spans() const { return spans_; }
+  const ChunkedVector<Span>& spans() const { return spans_; }
   std::size_t size() const { return spans_.size(); }
   bool empty() const { return spans_.empty(); }
 
@@ -118,7 +121,7 @@ class SpanLog {
   void write_jsonl(std::ostream& out) const;
 
  private:
-  std::vector<Span> spans_;
+  ChunkedVector<Span> spans_;
 };
 
 }  // namespace smr::obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -18,6 +19,12 @@ namespace {
 const std::vector<double> kLatencyBounds = {30.0,   60.0,   120.0,  300.0,
                                             600.0,  1200.0, 1800.0, 3600.0,
                                             7200.0, 14400.0};
+
+constexpr const char* kCounterNames[] = {
+    "serve.jobs_arrived", "serve.jobs_admitted",  "serve.jobs_deferred",
+    "serve.jobs_shed",    "serve.jobs_completed", "serve.jobs_failed",
+    "serve.slo_met",      "serve.slo_missed",     "serve.slo_alerts",
+};
 
 }  // namespace
 
@@ -93,6 +100,7 @@ ServeReport ServeSession::execute(ArrivalTrace trace,
   runtime_->set_job_finished_callback(
       [this](const mapreduce::Job& job) { on_job_finished(job); });
 
+  burn_rate_.assign(trace_.tenants.size(), nullptr);
   tracker_ = std::make_unique<SloTracker>(config_.warmup, config_.horizon,
                                           trace_.tenants);
   burn_ = std::make_unique<BurnRateTracker>(config_.burn, trace_.tenants);
@@ -118,7 +126,7 @@ ServeReport ServeSession::execute(ArrivalTrace trace,
   for (std::size_t index : deferred_) {
     const Arrival& arrival = trace_.arrivals[index];
     tracker_->record_shed(arrival.tenant, arrival.job.submit_at);
-    metrics_->counter("serve.jobs_shed").inc();
+    count(kJobsShed);
   }
 
   ServeReport report;
@@ -140,32 +148,32 @@ ServeReport ServeSession::execute(ArrivalTrace trace,
 
 void ServeSession::on_arrival(std::size_t index) {
   const Arrival& arrival = trace_.arrivals[index];
-  metrics_->counter("serve.jobs_arrived").inc();
+  count(kJobsArrived);
   tracker_->record_arrival(arrival.tenant, arrival.job.submit_at);
 
   if (runtime_->stopped()) {
     // The run aborted (e.g. every node died); nothing can be admitted.
     tracker_->record_shed(arrival.tenant, arrival.job.submit_at);
-    metrics_->counter("serve.jobs_shed").inc();
+    count(kJobsShed);
     return;
   }
 
   switch (admission_.on_arrival()) {
     case AdmissionDecision::kAdmit:
-      metrics_->counter("serve.jobs_admitted").inc();
+      count(kJobsAdmitted);
       submit_arrival(index);
       break;
     case AdmissionDecision::kDefer:
       deferred_.push_back(index);
       tracker_->record_deferred(arrival.tenant, arrival.job.submit_at);
-      metrics_->counter("serve.jobs_deferred").inc();
-      metrics_->series("serve.queue_depth")
+      count(kJobsDeferred);
+      series(queue_depth_, "serve.queue_depth")
           .append(runtime_->engine().now(),
                   static_cast<double>(admission_.pending()));
       break;
     case AdmissionDecision::kShed:
       tracker_->record_shed(arrival.tenant, arrival.job.submit_at);
-      metrics_->counter("serve.jobs_shed").inc();
+      count(kJobsShed);
       break;
   }
 }
@@ -185,7 +193,7 @@ void ServeSession::submit_arrival(std::size_t index) {
 
   const JobId id = runtime_->submit(spec, now);
   admitted_[id] = JobInfo{arrival.tenant, arrival.job.submit_at};
-  metrics_->series("serve.jobs_in_system")
+  series(jobs_in_system_, "serve.jobs_in_system")
       .append(now, static_cast<double>(admission_.in_system()));
 }
 
@@ -203,16 +211,15 @@ void ServeSession::on_job_finished(const mapreduce::Job& job) {
   tracker_->record_outcome(info.tenant, info.arrived, job.finish_time, service,
                            job.deadline, job.failed);
   if (job.failed) {
-    metrics_->counter("serve.jobs_failed").inc();
+    count(kJobsFailed);
   } else {
-    metrics_->counter("serve.jobs_completed").inc();
-    metrics_->histogram("serve.latency_s", kLatencyBounds)
-        .observe(job.finish_time - info.arrived);
+    count(kJobsCompleted);
+    if (latency_ == nullptr) {
+      latency_ = &metrics_->histogram("serve.latency_s", kLatencyBounds);
+    }
+    latency_->observe(job.finish_time - info.arrived);
     if (job.deadline != kTimeNever) {
-      metrics_
-          ->counter(job.finish_time <= job.deadline ? "serve.slo_met"
-                                                    : "serve.slo_missed")
-          .inc();
+      count(job.finish_time <= job.deadline ? kSloMet : kSloMissed);
     }
   }
   if (job.deadline != kTimeNever) {
@@ -227,12 +234,14 @@ void ServeSession::on_job_finished(const mapreduce::Job& job) {
 
 void ServeSession::record_burn(int tenant, SimTime now, bool slo_met) {
   const std::optional<BurnAlert> alert = burn_->record(tenant, now, slo_met);
-  metrics_
-      ->series("serve.burn_rate",
-               {{"tenant", trace_.tenants[static_cast<std::size_t>(tenant)]}})
-      .append(now, burn_->burn_rate(tenant));
+  obs::Series*& burn_rate = burn_rate_[static_cast<std::size_t>(tenant)];
+  if (burn_rate == nullptr) {
+    burn_rate = &metrics_->series(
+        "serve.burn_rate", {{"tenant", trace_.tenants[static_cast<std::size_t>(tenant)]}});
+  }
+  burn_rate->append(now, burn_->burn_rate(tenant));
   if (!alert) return;
-  metrics_->counter("serve.slo_alerts").inc();
+  count(kSloAlerts);
   if (trace_log_ != nullptr) {
     metrics::TraceEvent event;
     event.time = alert->time;
@@ -249,13 +258,13 @@ void ServeSession::process_departure() {
     const std::size_t index = deferred_.front();
     deferred_.pop_front();
     admission_.on_deferred_admitted();
-    metrics_->counter("serve.jobs_admitted").inc();
-    metrics_->series("serve.queue_depth")
+    count(kJobsAdmitted);
+    series(queue_depth_, "serve.queue_depth")
         .append(runtime_->engine().now(),
                 static_cast<double>(admission_.pending()));
     submit_arrival(index);
   }
-  metrics_->series("serve.jobs_in_system")
+  series(jobs_in_system_, "serve.jobs_in_system")
       .append(runtime_->engine().now(),
               static_cast<double>(admission_.in_system()));
   maybe_close();
@@ -288,6 +297,18 @@ void ServeSession::sample_fairness() {
   const SimTime period = std::max(config_.experiment.runtime.policy_period, 1.0);
   runtime_->engine().schedule_at(std::min(now + period, config_.horizon),
                                  [this] { sample_fairness(); });
+}
+
+void ServeSession::count(CounterId id) {
+  static_assert(std::size(kCounterNames) == kCounterIds);
+  obs::Counter*& counter = counters_[id];
+  if (counter == nullptr) counter = &metrics_->counter(kCounterNames[id]);
+  counter->inc();
+}
+
+obs::Series& ServeSession::series(obs::Series*& cached, const char* name) {
+  if (cached == nullptr) cached = &metrics_->series(name);
+  return *cached;
 }
 
 void ServeSession::maybe_close() {

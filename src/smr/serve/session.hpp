@@ -10,6 +10,7 @@
 // deterministic in the config seed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -127,6 +128,20 @@ class ServeSession {
     SimTime arrived = 0.0;
   };
 
+  /// The serve-layer counters; kCounterNames in session.cpp names each.
+  enum CounterId : std::size_t {
+    kJobsArrived,
+    kJobsAdmitted,
+    kJobsDeferred,
+    kJobsShed,
+    kJobsCompleted,
+    kJobsFailed,
+    kSloMet,
+    kSloMissed,
+    kSloAlerts,
+    kCounterIds,
+  };
+
   ServeReport execute(ArrivalTrace trace, obs::MetricsRegistry* metrics);
   void on_arrival(std::size_t index);
   /// Submit arrival `index` at the current simulation time, re-anchoring
@@ -144,6 +159,10 @@ class ServeSession {
   /// starting at warmup, every policy period, until the horizon).
   void sample_fairness();
 
+  void count(CounterId id);
+  /// The series `name` of metrics_, looked up on first use into `cached`.
+  obs::Series& series(obs::Series*& cached, const char* name);
+
   ServeConfig config_;
   ArrivalTrace trace_;
   metrics::TraceLog* trace_log_ = nullptr;
@@ -157,6 +176,14 @@ class ServeSession {
   AdmissionController admission_;
   obs::MetricsRegistry own_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  /// Instruments of metrics_ (set once, by execute()), each looked up by
+  /// name on its first use, so one never touched never appears in the
+  /// registry, and cached after it; null until then.
+  std::array<obs::Counter*, kCounterIds> counters_{};
+  obs::Series* queue_depth_ = nullptr;
+  obs::Series* jobs_in_system_ = nullptr;
+  obs::Histogram* latency_ = nullptr;
+  std::vector<obs::Series*> burn_rate_;  // by tenant
   std::unordered_map<JobId, JobInfo> admitted_;
   std::deque<std::size_t> deferred_;
   metrics::RunResult result_;

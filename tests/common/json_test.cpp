@@ -100,6 +100,24 @@ TEST(Json, RejectsMalformedInputWithAMessage) {
   EXPECT_FALSE(parse_json("{'single':1}", &error).has_value());
 }
 
+TEST(Json, RejectsRawControlCharactersInStrings) {
+  // Strict JSON (and Python's json.load) takes C0 controls in a string
+  // only escaped; a raw tab or \x01 is an error, not a byte to copy.
+  for (const std::string raw : {std::string("\t"), std::string("\x01")}) {
+    std::string error;
+    EXPECT_FALSE(parse_json("[\"a" + raw + "b\"]", &error).has_value());
+    EXPECT_NE(error.find("unescaped control character in string"),
+              std::string::npos)
+        << error;
+    // Escaped, the same byte parses.
+    const auto escaped = parse_json("[\"a" + escape_json(raw) + "b\"]", &error);
+    ASSERT_TRUE(escaped.has_value()) << error;
+    EXPECT_EQ(escaped->as_array()[0].as_string(), "a" + raw + "b");
+  }
+  // Whitespace between tokens is not inside a string.
+  EXPECT_TRUE(parse_json("[\t1,\n2]").has_value());
+}
+
 TEST(Json, RejectsNestingPastTheDepthLimit) {
   const auto arrays = [](int depth) {
     return std::string(static_cast<std::size_t>(depth), '[') +

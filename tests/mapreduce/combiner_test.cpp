@@ -67,7 +67,7 @@ TEST(Combiner, CombineOrderIsMapCombineSpill) {
   // Per task: MAP < COMBINE < SPILL in time.
   std::map<TaskId, std::vector<std::string>> phases;
   for (const auto& e : trace.of_kind(metrics::TraceEventKind::kPhaseStarted)) {
-    if (e.is_map) phases[e.task].push_back(e.detail);
+    if (e.is_map) phases[e.task].emplace_back(e.detail);
   }
   for (const auto& [task, sequence] : phases) {
     ASSERT_EQ(sequence.size(), 3u) << "task " << task;

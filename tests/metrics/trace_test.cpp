@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "smr/mapreduce/runtime.hpp"
 
@@ -34,6 +35,76 @@ TEST(TraceLog, RecordsAndFiltersByKind) {
   EXPECT_EQ(launches[1].task, 2);
   log.clear();
   EXPECT_TRUE(log.empty());
+}
+
+static_assert(sizeof(TraceEvent) <= 48, "a trace event packs into 48 bytes");
+
+TEST(TraceLog, DetailsOutliveTheCallersStringAcrossGrowthMoveAndClear) {
+  // Each detail is a temporary std::string, destroyed right after record():
+  // the log must keep its own copy.  Enough events to fill many chunks.
+  constexpr int kEvents = 20 * static_cast<int>(ChunkedVector<TraceEvent>::kChunkElements);
+  const auto detail_of = [](int i) {
+    // Repeats (interned once) mixed with texts past the short-string buffer.
+    return i % 3 == 0 ? std::string("MAP")
+                      : "detail long enough to live on the heap #" + std::to_string(i % 97);
+  };
+  TraceLog log;
+  for (int i = 0; i < kEvents; ++i) {
+    TraceEvent e = event_at(static_cast<SimTime>(i), TraceEventKind::kPhaseStarted, i);
+    std::string detail = detail_of(i);
+    e.detail = detail;
+    log.record(e);
+  }
+  const auto expect_details = [&](const TraceLog& moved) {
+    ASSERT_EQ(moved.size(), static_cast<std::size_t>(kEvents));
+    int i = 0;
+    for (const TraceEvent& e : moved.events()) {
+      EXPECT_EQ(e.task, i);
+      EXPECT_EQ(e.detail, detail_of(i)) << "event " << i;
+      ++i;
+    }
+  };
+  expect_details(log);
+
+  TraceLog moved(std::move(log));
+  expect_details(moved);
+  TraceLog assigned;
+  assigned.record(event_at(0.0, TraceEventKind::kTaskLaunched, 0, 0, "replaced"));
+  assigned = std::move(moved);
+  expect_details(assigned);
+
+  assigned.clear();
+  EXPECT_TRUE(assigned.empty());
+  std::string detail = "after clear";
+  TraceEvent e = event_at(1.0, TraceEventKind::kTaskKilled);
+  e.detail = detail;
+  assigned.record(e);
+  detail.assign(detail.size(), 'x');  // the caller reuses its buffer
+  EXPECT_EQ(assigned.events()[0].detail, "after clear");
+}
+
+TEST(TraceLog, EqualDetailsShareOneCopy) {
+  TraceLog log;
+  for (const char* detail : {"SHUFFLE", "speculative", "SHUFFLE", "", "speculative"}) {
+    log.record(event_at(1.0, TraceEventKind::kTaskLaunched, 1, 0, detail));
+  }
+  const auto& events = log.events();
+  EXPECT_EQ(events[0].detail.data(), events[2].detail.data());
+  EXPECT_EQ(events[1].detail.data(), events[4].detail.data());
+  EXPECT_NE(events[0].detail.data(), events[1].detail.data());
+  EXPECT_TRUE(events[3].detail.empty());
+}
+
+TEST(TraceLog, MemoryIsTheEventsPlusOneCopyOfEachDetail) {
+  constexpr std::size_t kEvents = 100000;
+  TraceLog log;
+  const char* details[] = {"MAP", "SHUFFLE", "HOLD_BALANCED: karma: capacity=64 tenants=4"};
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    log.record(event_at(static_cast<SimTime>(i), TraceEventKind::kPhaseStarted, 1, 0,
+                        details[i % 3]));
+  }
+  EXPECT_GE(log.memory_bytes(), kEvents * sizeof(TraceEvent));
+  EXPECT_LE(log.memory_bytes(), kEvents * sizeof(TraceEvent) * 11 / 10 + 4096);
 }
 
 TEST(TraceLog, EveryKindHasAName) {

@@ -17,12 +17,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "smr/driver/experiment.hpp"
 #include "smr/mapreduce/runtime.hpp"
 #include "smr/metrics/trace.hpp"
 #include "smr/obs/decision_log.hpp"
 #include "smr/obs/metrics_registry.hpp"
+#include "smr/obs/run_recorder.hpp"
 #include "smr/obs/span_log.hpp"
 #include "smr/workload/puma.hpp"
 
@@ -163,6 +165,37 @@ TEST(RunRecording, MetricsMatchTheGoldenAtAnyShardCount) {
     run->registry.write_jsonl(out);
     EXPECT_TRUE(out.str() == golden) << "metrics differ at shards=" << shards;
   }
+}
+
+TEST(RunRecording, InstrumentsAppearOnFirstUseInTheCurrentRegistry) {
+  // The recorder caches each instrument on its first use.  One never used
+  // must not be registered, and a new registry must get its own instruments
+  // rather than updates to the previous registry's.
+  MetricsRegistry first;
+  MetricsRegistry second;
+  RunRecorder recorder;
+  recorder.set_metrics(&first);
+  recorder.heartbeat();
+  recorder.heartbeat();
+  EXPECT_EQ(first.names(), std::vector<std::string>{"heartbeats.processed"});
+
+  recorder.set_metrics(&second);
+  recorder.heartbeat();
+  recorder.node_failed(1.0, 0);
+  recorder.attempt_finished(2.0, 0, 0, 0, 0, true, 3.0);
+  EXPECT_EQ(first.counter("heartbeats.processed").value(), 2);
+  EXPECT_EQ(first.names(), std::vector<std::string>{"heartbeats.processed"});
+  EXPECT_EQ(second.counter("heartbeats.processed").value(), 1);
+  EXPECT_EQ(second.counter("nodes.failed").value(), 1);
+  EXPECT_EQ(second.histogram("task.map_duration_s", kDurationBounds).total_count(), 1);
+  EXPECT_EQ(second.names().size(), 3u);
+
+  recorder.set_metrics(nullptr);
+  recorder.heartbeat();  // no registry: nothing to count
+  recorder.set_metrics(&first);
+  recorder.heartbeat();
+  EXPECT_EQ(first.counter("heartbeats.processed").value(), 3);
+  EXPECT_EQ(second.counter("heartbeats.processed").value(), 1);
 }
 
 }  // namespace

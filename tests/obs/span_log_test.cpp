@@ -4,6 +4,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "smr/common/error.hpp"
 #include "smr/core/slot_policy.hpp"
@@ -28,6 +29,25 @@ TEST(SpanLog, OpenCloseRoundTrip) {
   EXPECT_EQ(log.at(job).outcome, SpanOutcome::kOk);
   EXPECT_DOUBLE_EQ(log.at(job).duration(), 4.0);
   EXPECT_EQ(log.open_count(), 1u);
+}
+
+TEST(SpanLog, SpanReferenceSurvivesLaterOpens) {
+  SpanLog log;
+  const SpanId run = log.open(SpanKind::kRun, "run", 0.0);
+  const SpanId job = log.open(SpanKind::kJob, "job-with-a-name-past-sso", 1.0, run);
+  Span& held = log.at(job);
+  held.job = 3;
+  for (int i = 0; i < 10000; ++i) {
+    log.open(SpanKind::kAttempt, "map-" + std::to_string(i), 2.0, job);
+  }
+  // The reference taken before the opens still reads and writes the span.
+  EXPECT_EQ(&held, &log.at(job));
+  EXPECT_EQ(held.name, "job-with-a-name-past-sso");
+  EXPECT_EQ(held.job, 3);
+  held.reduce_eligible = 4.0;
+  EXPECT_DOUBLE_EQ(log.at(job).reduce_eligible, 4.0);
+  EXPECT_EQ(log.at(log.open(SpanKind::kAttempt, "last", 3.0, job)).job, 3);
+  EXPECT_EQ(log.size(), 10003u);
 }
 
 TEST(SpanLog, ChildInheritsJobFromParent) {
