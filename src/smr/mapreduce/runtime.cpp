@@ -952,10 +952,19 @@ void Runtime::assign_tasks(TaskTracker& tracker) {
   }
 }
 
+std::vector<std::size_t> Runtime::assignment_order(bool for_map) const {
+  // Exact: job_order only reorders `active`, and the assignment loops skip
+  // every job without a pending task of the kind.
+  const std::span<const std::size_t> active = active_jobs_now(engine_.now());
+  const bool any_pending = std::ranges::any_of(active, [&](std::size_t j) {
+    return (for_map ? jobs_[j].maps_pending() : jobs_[j].reduces_pending()) > 0;
+  });
+  if (!any_pending) return {};
+  return scheduler_->job_order(jobs_, active, for_map);
+}
+
 bool Runtime::assign_one_map(TaskTracker& tracker) {
-  const SimTime now = engine_.now();
-  for (std::size_t job_index :
-       scheduler_->job_order(jobs_, active_jobs_now(now), /*for_map=*/true)) {
+  for (std::size_t job_index : assignment_order(/*for_map=*/true)) {
     Job& job = jobs_[job_index];
     if (job.maps_pending() == 0) continue;
     if (job_at_cap(job, /*for_map=*/true)) continue;
@@ -1018,9 +1027,7 @@ bool Runtime::assign_one_map(TaskTracker& tracker) {
 }
 
 bool Runtime::assign_one_reduce(TaskTracker& tracker) {
-  const SimTime now = engine_.now();
-  for (std::size_t job_index :
-       scheduler_->job_order(jobs_, active_jobs_now(now), /*for_map=*/false)) {
+  for (std::size_t job_index : assignment_order(/*for_map=*/false)) {
     Job& job = jobs_[job_index];
     if (job.reduces_pending() == 0) continue;
     if (job_at_cap(job, /*for_map=*/false)) continue;

@@ -508,6 +508,10 @@ class Runtime {
   }
   bool assign_one_map(TaskTracker& tracker);
   bool assign_one_reduce(TaskTracker& tracker);
+  /// The scheduler's order of the active jobs for one free slot of a kind,
+  /// or an empty list, without consulting the scheduler, when no active
+  /// job has a pending task of that kind (most heartbeats).
+  std::vector<std::size_t> assignment_order(bool for_map) const;
   /// True when the policy caps this job's in-flight task count and the cap
   /// is reached (see AllocationPolicy::job_task_caps).
   bool job_at_cap(const Job& job, bool for_map) const;

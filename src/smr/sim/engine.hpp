@@ -7,31 +7,38 @@
 // pending event (or the next firing of a periodic series) without consuming
 // a new id.
 //
-// Internally the pending set is a two-tier calendar queue holding
-// lightweight generation-stamped stubs:
+// Internally the pending set holds lightweight generation-stamped stubs in
+// a two-tier calendar queue plus one FIFO lane per periodic period:
 //
 //   * `current_` — a small binary heap over the bucket being dispatched,
 //     so callbacks may schedule into the present without breaking order;
 //   * `ring_` — a power-of-two ring of near-future buckets, one bucket per
-//     `bucket_width` seconds of simulated time (heartbeat granularity), each
-//     an unsorted vector that is heapified only when its time arrives;
+//     `bucket_width` seconds of simulated time, each an unsorted vector
+//     that is heapified only when its time arrives;
 //   * `ladder_` — an overflow spill for stubs beyond the ring's horizon,
 //     swept on demand when the window advances (a cached minimum bucket
-//     skips the sweep entirely while the window stays short of it).
+//     skips the sweep entirely while the window stays short of it);
+//   * `lanes_` — the re-arms of periodic series (tracker heartbeats, the
+//     fluid tick, sampling, the policy period), one FIFO per distinct
+//     period.  Events fire in (when, seq) order, so each re-arm
+//     `now + period` is no earlier than the lane's tail and carries a newer
+//     seq: a lane is sorted by construction and costs O(1) per firing.
+//     One-shots, first firings, reschedules and revivals use the calendar.
 //
-// Scheduling and popping are therefore O(1) amortised instead of the
-// O(log n) of the old global binary heap, which matters under serving
-// workloads with millions of pending events.  Callbacks and per-event state
-// live in a dense slot table indexed by the EventId itself (slot | id
-// generation), with a free list recycling slots; callbacks use
+// step() dispatches the earliest of `current_`'s top and the lane heads.
+// Scheduling and popping are O(1) amortised (plus one comparison per lane)
+// instead of the O(log n) of the old global binary heap, which matters
+// under serving workloads with millions of pending events.  Callbacks and
+// per-event state live in a dense slot table indexed by the EventId itself
+// (slot | id generation), with a free list recycling slots; callbacks use
 // common::SmallFn, so the steady state allocates nothing.  cancel() and
-// reschedule() never search the calendar — they retire the stamped stub
-// lazily (it is skipped when it surfaces) and the calendar is compacted in
-// one pass when retired stubs outnumber live ones (or when *every* stub is
-// retired, so park/cancel churn on a small queue cannot leak stubs).  This
-// keeps cancel/reschedule O(1) and pending() exact.  Events parked at
-// kTimeNever hold no stub at all: a million parked events cost nothing per
-// dispatch.
+// reschedule() never search the calendar or a lane — they retire the
+// stamped stub lazily (it is skipped when it surfaces) and every tier is
+// compacted in one pass when retired stubs outnumber live ones (or when
+// *every* stub is retired, so park/cancel churn on a small queue cannot
+// leak stubs).  This keeps cancel/reschedule O(1) and pending() exact.
+// Events parked at kTimeNever hold no stub at all: a million parked events
+// cost nothing per dispatch.
 #pragma once
 
 #include <cstdint>
@@ -106,17 +113,19 @@ class Engine {
   /// Total events dispatched so far (for tests / instrumentation).
   std::uint64_t dispatched() const { return dispatched_; }
 
-  /// High-water mark of the calendar (self-profiling: how deep the queue
-  /// ever got, retired-but-unswept stubs included).
+  /// High-water mark of the stubs held by the calendar and the lanes
+  /// (self-profiling: how deep the queue ever got, retired-but-unswept
+  /// stubs included).
   std::size_t peak_pending() const { return peak_pending_; }
 
-  /// Calendar entries currently retired (awaiting lazy skip or compaction).
+  /// Stubs currently retired (awaiting lazy skip or compaction).
   /// Exposed for tests of the compaction policy.
   std::size_t stale() const { return stale_; }
 
  private:
   using Generation = std::uint32_t;
   static constexpr std::uint32_t kNullSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNoLane = 0xffffffffu;
 
   // Lightweight, trivially-copyable calendar stub.  The callback and
   // per-event state stay in the slot table so reschedule() never has to
@@ -143,11 +152,33 @@ class Engine {
     Generation stub_gen = 0;
     /// Current firing time; kTimeNever while parked (no stub in flight).
     SimTime when = kTimeNever;
-    /// Periodic period; 0 means one-shot.
-    SimTime period = 0.0;
     Callback fn;
+    /// Index into lanes_ of a periodic series (its period); kNoLane for a
+    /// one-shot.
+    std::uint32_t lane = kNoLane;
     std::uint32_t next_free = kNullSlot;
     bool occupied = false;
+  };
+
+  // The re-arms of every periodic series with one period, in (when, seq)
+  // order.  Popped from `head`; the consumed prefix is dropped once it is
+  // at least half the vector, so a steady lane reuses its capacity.
+  struct Lane {
+    SimTime period;
+    std::vector<Stub> stubs;
+    std::size_t head = 0;
+
+    bool empty() const { return head == stubs.size(); }
+    const Stub& front() const { return stubs[head]; }
+    void pop_front() {
+      if (++head == stubs.size()) {
+        stubs.clear();
+        head = 0;
+      } else if (2 * head >= stubs.size()) {
+        stubs.erase(stubs.begin(), stubs.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+      }
+    }
   };
 
   static EventId pack_id(std::uint32_t slot, Generation gen) {
@@ -160,18 +191,25 @@ class Engine {
     Slot& s = slots_[slot];
     return (s.occupied && s.id_gen == gen) ? &s : nullptr;
   }
-  std::uint32_t alloc_slot(SimTime when, SimTime period, Callback fn);
+  std::uint32_t alloc_slot(SimTime when, std::uint32_t lane, Callback fn);
   void free_slot(std::uint32_t index);
+  /// The lane for `period`, created on first use.
+  std::uint32_t lane_for(SimTime period);
+  /// The lane whose head is earliest; nullptr when every lane is empty.
+  Lane* earliest_lane();
 
+  std::int64_t bucket_of(SimTime when) const;
   void push_stub(SimTime when, std::uint32_t slot, Generation gen);
-  /// Refill current_ from the earliest nonempty bucket; false when no stub
-  /// remains anywhere (parked events hold none).
-  bool advance();
+  /// Refill current_ from the earliest nonempty calendar bucket no later
+  /// than bucket `until` (a lane head there or earlier fires first);
+  /// current_ stays empty when the calendar holds no stub up to it.  Lane
+  /// stubs are not counted, so a calendar that is empty returns at once.
+  void advance(std::int64_t until);
   /// Sweep ladder stubs that entered the ring's window into the calendar.
   void drain_ladder();
-  /// Live (non-retired) stubs across all tiers.
+  /// Live (non-retired) stubs across all tiers and lanes.
   std::size_t live_stubs() const { return stub_count_ - stale_; }
-  /// Drop every retired stub from the calendar in one pass.
+  /// Drop every retired stub from the calendar and the lanes in one pass.
   void compact();
   void maybe_compact() {
     // Amortised: each compaction touches the whole calendar, so only fire
@@ -196,20 +234,21 @@ class Engine {
   std::size_t mask_;  // bucket_count - 1 (power of two)
   std::int64_t cur_bucket_ = 0;
 
-  // --- The three tiers ---------------------------------------------------
+  // --- The three calendar tiers and the periodic lanes -------------------
   std::vector<Stub> current_;             // heap over the active bucket
   std::vector<std::vector<Stub>> ring_;   // near-future buckets
   std::vector<Stub> ladder_;              // beyond-horizon spill
   std::size_t ring_stubs_ = 0;
-  std::int64_t ladder_min_bucket_ = kNoLadder;
-  static constexpr std::int64_t kNoLadder =
+  static constexpr std::int64_t kNoBucket =
       std::numeric_limits<std::int64_t>::max();
+  std::int64_t ladder_min_bucket_ = kNoBucket;
+  std::vector<Lane> lanes_;               // one per distinct period
 
   // --- Event state -------------------------------------------------------
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNullSlot;
   std::size_t live_ = 0;        // occupied slots (parked included)
-  std::size_t stub_count_ = 0;  // stubs across all tiers (stale included)
+  std::size_t stub_count_ = 0;  // stubs in tiers and lanes (stale included)
   std::size_t stale_ = 0;       // retired stubs awaiting skip/compaction
 };
 

@@ -7,7 +7,11 @@
 // same clock.  We replay randomized scripted workloads against both and
 // compare, across several calendar geometries chosen to force the edge
 // paths (tiny rings that wrap constantly, wide buckets that pile ties into
-// one slot, ladder jumps over long idle gaps).
+// one slot, ladder jumps over long idle gaps).  A heartbeat-shaped family
+// drives the periodic lanes: thousands of long-lived series of one period
+// that tie with each other, with one-shots and with the other periods.
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <unordered_map>
@@ -30,13 +34,20 @@ struct Op {
     kReschedule,
     kPark,
     kStep,
+    // One-shot at the first instant of the grid b*k + kGridOffset no
+    // earlier than now + a: ties with the series firing on that grid.
+    kScheduleOnGrid,
   };
   Kind kind;
   int tag = 0;        // event identity shared across both engines
   double a = 0.0;     // delay / first-delay
   double b = 0.0;     // period
   int count = 0;      // steps to take / firings before self-cancel
+  bool spawn = false; // periodic: each firing schedules a one-shot child at
+                      // now + period, tied with the series' own next firing
 };
+
+constexpr double kGridOffset = 0.75;
 
 // A scripted workload: ops reference events by tag, so the same script can
 // drive any engine.  Delays come from a coarse 0.25s grid to force plenty
@@ -72,6 +83,64 @@ std::vector<Op> make_script(std::uint32_t seed, int length) {
     } else {
       script.push_back(Op{Op::kStep, 0, 0.0, 0.0,
                           static_cast<int>(rng() % 4) + 1});
+    }
+  }
+  return script;
+}
+
+// Heartbeat-shaped workload: the Runtime's four periods (0.25 s tick, 2 s
+// sample, 3 s heartbeat, 6 s policy) with 2000 heartbeat series staggered
+// at 3(i+1)/2000, so series 499 fires at 0.75 + 3k with the tick.  Between
+// bursts of steps, one-shots land on that tied grid and random heartbeats
+// are moved earlier or later, parked, revived or cancelled; every 97th
+// series cancels itself from its own callback after a few firings.
+std::vector<Op> make_heartbeat_script(std::uint32_t seed) {
+  constexpr int kTrackers = 2000;
+  constexpr int kForever = 1 << 30;
+  constexpr int kFirstTracker = 3;
+  std::mt19937 rng(seed);
+  std::vector<Op> script;
+  script.push_back(Op{Op::kSchedulePeriodic, 0, 0.25, 0.25, kForever});
+  script.push_back(Op{Op::kSchedulePeriodic, 1, 2.0, 2.0, kForever});
+  script.push_back(Op{Op::kSchedulePeriodic, 2, 6.0, 6.0, kForever});
+  for (int i = 0; i < kTrackers; ++i) {
+    const double offset = 3.0 * static_cast<double>(i + 1) / kTrackers;
+    const int budget = i % 97 == 0 ? 1 + static_cast<int>(rng() % 40) : kForever;
+    script.push_back(Op{Op::kSchedulePeriodic, kFirstTracker + i, offset, 3.0,
+                        budget, /*spawn=*/i % 50 == 7});
+  }
+  int next_tag = kFirstTracker + kTrackers;
+  const auto tracker = [&rng] {
+    return kFirstTracker + static_cast<int>(rng() % kTrackers);
+  };
+  const auto fraction = [&rng] {
+    return static_cast<double>(rng() % 1000) / 1000.0;
+  };
+  for (int round = 0; round < 60; ++round) {
+    script.push_back(Op{Op::kStep, 0, 0.0, 0.0, 500 + static_cast<int>(rng() % 4000)});
+    for (int k = 0; k < 8; ++k) {
+      switch (rng() % 6) {
+        case 0:
+          script.push_back(Op{Op::kScheduleOnGrid, next_tag++,
+                              0.5 + 6.0 * fraction(), 3.0, 0});
+          break;
+        case 1:  // earlier than the pending firing, usually
+          script.push_back(Op{Op::kReschedule, tracker(), 3.0 * fraction(), 0.0, 0});
+          break;
+        case 2:  // later than the pending firing
+          script.push_back(
+              Op{Op::kReschedule, tracker(), 3.0 + 3.0 * fraction(), 0.0, 0});
+          break;
+        case 3:
+          script.push_back(Op{Op::kPark, tracker(), 0.0, 0.0, 0});
+          break;
+        case 4:  // revives the series if it is parked
+          script.push_back(Op{Op::kReschedule, tracker(), 0.25 * fraction(), 0.0, 0});
+          break;
+        default:
+          script.push_back(Op{Op::kCancel, tracker(), 0.0, 0.0, 0});
+          break;
+      }
     }
   }
   return script;
@@ -113,12 +182,29 @@ struct Replay {
           });
           break;
         }
+        case Op::kScheduleOnGrid: {
+          const int tag = op.tag;
+          const double k =
+              std::max(0.0, std::ceil((eng.now() + op.a - kGridOffset) / op.b));
+          ids[tag] = eng.schedule_at(kGridOffset + op.b * k, [this, tag] {
+            fired.push_back(Fired{eng.now(), tag});
+          });
+          break;
+        }
         case Op::kSchedulePeriodic: {
           const int tag = op.tag;
+          const double period = op.b;
+          const bool spawn = op.spawn;
           budget[tag] = op.count;
           ids[tag] = eng.schedule_periodic(
-              eng.now() + op.a, op.b, [this, tag] {
+              eng.now() + op.a, period, [this, tag, period, spawn] {
                 fired.push_back(Fired{eng.now(), tag});
+                if (spawn) {
+                  const int child = tag + 2'000'000;
+                  (void)eng.schedule_at(eng.now() + period, [this, child] {
+                    fired.push_back(Fired{eng.now(), child});
+                  });
+                }
                 if (--budget[tag] <= 0) eng.cancel(ids[tag]);
               });
           break;
@@ -143,17 +229,15 @@ struct Replay {
   }
 };
 
-void expect_identical(std::uint32_t seed, const Engine::CalendarConfig& cfg) {
-  const std::vector<Op> script = make_script(seed, 400);
-  constexpr double kHorizon = 500.0;
-
+void expect_identical(const std::vector<Op>& script, double horizon,
+                      std::uint32_t seed, const Engine::CalendarConfig& cfg) {
   ref::ReferenceEngine oracle;
   Replay<ref::ReferenceEngine> expected{oracle, {}, {}, {}};
-  expected.apply(script, kHorizon);
+  expected.apply(script, horizon);
 
   Engine engine(cfg);
   Replay<Engine> actual{engine, {}, {}, {}};
-  actual.apply(script, kHorizon);
+  actual.apply(script, horizon);
 
   ASSERT_EQ(actual.fired.size(), expected.fired.size())
       << "seed " << seed << " width " << cfg.bucket_width << " buckets "
@@ -167,6 +251,16 @@ void expect_identical(std::uint32_t seed, const Engine::CalendarConfig& cfg) {
   EXPECT_EQ(engine.pending(), oracle.pending()) << "seed " << seed;
   EXPECT_EQ(engine.dispatched(), oracle.dispatched()) << "seed " << seed;
   EXPECT_EQ(engine.now(), oracle.now()) << "seed " << seed;
+}
+
+void expect_identical(std::uint32_t seed, const Engine::CalendarConfig& cfg) {
+  expect_identical(make_script(seed, 400), 500.0, seed, cfg);
+}
+
+// The heartbeat family runs well past its last burst of steps, so the
+// final run() also drains long stretches of pure lane traffic.
+void expect_heartbeats_identical(std::uint32_t seed, const Engine::CalendarConfig& cfg) {
+  expect_identical(make_heartbeat_script(seed), 400.0, seed, cfg);
 }
 
 TEST(EngineDifferential, DefaultCalendarMatchesReference) {
@@ -194,6 +288,18 @@ TEST(EngineDifferential, WideBucketsPileTiesIntoOneSlot) {
 TEST(EngineDifferential, SubGridBucketsScatterEveryTieAcrossSlots) {
   for (std::uint32_t seed = 0; seed < 25; ++seed) {
     expect_identical(seed, Engine::CalendarConfig{0.125, 16});
+  }
+}
+
+TEST(EngineDifferential, HeartbeatSeriesMatchReferenceAtDefaultCalendar) {
+  for (std::uint32_t seed = 0; seed < 3; ++seed) {
+    expect_heartbeats_identical(seed, Engine::CalendarConfig{});
+  }
+}
+
+TEST(EngineDifferential, HeartbeatSeriesMatchReferenceOnTinyRing) {
+  for (std::uint32_t seed = 0; seed < 3; ++seed) {
+    expect_heartbeats_identical(seed, Engine::CalendarConfig{0.5, 4});
   }
 }
 

@@ -374,6 +374,27 @@ TEST(Engine, SmallMixedQueuesStillRetireLazily) {
   EXPECT_EQ(engine.stale(), 0u);  // the stale stub surfaced and was skipped
 }
 
+TEST(Engine, CompactionSweepsPeriodicLanes) {
+  // A periodic series' re-arm waits in its period's lane, not the
+  // calendar.  Compaction must drop the retired ones there too; otherwise
+  // they surface after the sweep and the retired count goes wrong.
+  Engine engine;
+  std::vector<EventId> ids;
+  std::vector<int> fired(100, 0);
+  for (int i = 0; i < 100; ++i) {
+    ids.push_back(engine.schedule_periodic(0.01 * (i + 1), 1.0,
+                                           [&fired, i] { ++fired[static_cast<std::size_t>(i)]; }));
+  }
+  engine.run(1.5);  // every series has fired and re-armed into the lane
+  // The 51st retired stub crosses stale > live and compacts; 29 follow.
+  for (int i = 0; i < 80; ++i) EXPECT_TRUE(engine.cancel(ids[static_cast<std::size_t>(i)]));
+  EXPECT_EQ(engine.stale(), 29u);
+  EXPECT_EQ(engine.pending(), 20u);
+  engine.run(10.0);
+  EXPECT_EQ(engine.stale(), 0u);  // the 29 surfaced and were skipped
+  for (int i = 80; i < 100; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], 10) << i;
+}
+
 TEST(Engine, ParkCancelChurnDoesNotLeakStubs) {
   // The ISSUE 7 leak scenario end-to-end: a handful of periodic events
   // repeatedly parked (kTimeNever) and revived must not accumulate retired

@@ -21,7 +21,8 @@
 // `summary` prints one digest per artifact.  `diff` compares the shared
 // artifacts and exits 2 when the candidate regresses past the thresholds:
 // aggregate critical-path growth, per-segment growth (e.g. the retry
-// segment after cranking --task-fail-rate), new SLO burn alerts, or
+// segment after cranking --task-fail-rate), serve makespan or p95 latency
+// growth, new SLO burn alerts, or
 // fairness erosion (a Jain-index or welfare *drop*, or envy growth —
 // fairness metrics regress downward, unlike the time-based ones).
 // Identical dirs always diff clean (regressions require strict growth),
@@ -313,9 +314,9 @@ int summarize(const RunData& run) {
                   agg->number_or("slo_met", 0.0));
       if (latency != nullptr) {
         std::printf("  latency p50=%.1fs p95=%.1fs p99=%.1fs\n",
-                    latency->number_or("p50", 0.0),
-                    latency->number_or("p95", 0.0),
-                    latency->number_or("p99", 0.0));
+                    latency->number_or("p50_s", 0.0),
+                    latency->number_or("p95_s", 0.0),
+                    latency->number_or("p99_s", 0.0));
       }
     }
   }
@@ -438,6 +439,21 @@ int diff(const RunData& base, const RunData& cand, const FlagSet& flags) {
     makespan.regression = regressed(makespan.base, makespan.cand,
                                     makespan_threshold, segment_floor);
     lines.push_back(makespan);
+    const JsonValue* base_agg = base.report->find("aggregate");
+    const JsonValue* cand_agg = cand.report->find("aggregate");
+    const JsonValue* base_latency =
+        base_agg != nullptr ? base_agg->find("latency") : nullptr;
+    const JsonValue* cand_latency =
+        cand_agg != nullptr ? cand_agg->find("latency") : nullptr;
+    if (base_latency != nullptr && cand_latency != nullptr) {
+      DiffLine p95;
+      p95.what = "report.latency_p95_s";
+      p95.base = base_latency->number_or("p95_s", 0.0);
+      p95.cand = cand_latency->number_or("p95_s", 0.0);
+      p95.regression =
+          regressed(p95.base, p95.cand, makespan_threshold, segment_floor);
+      lines.push_back(p95);
+    }
   }
 
   // Sharded-engine window stats.  barrier_stall_s is wall-clock (noisy
@@ -569,13 +585,13 @@ int main(int argc, char** argv) {
       "  smr_inspect diff <baseline-dir> <candidate-dir>");
   flags.define_double("makespan-threshold", 0.05,
                       "diff: tolerated relative growth of the aggregate "
-                      "critical path / serve makespan");
+                      "critical path / serve makespan / serve p95 latency");
   flags.define_double("segment-threshold", 0.25,
                       "diff: tolerated relative growth of any one "
                       "critical-path segment");
   flags.define_double("segment-floor", 1.0,
-                      "diff: absolute growth (s) below which a segment "
-                      "change is ignored");
+                      "diff: absolute growth (s) below which a segment, "
+                      "makespan or p95 latency change is ignored");
   flags.define_double("stall-threshold", 0.25,
                       "diff: tolerated relative growth of any one shard's "
                       "barrier stall");
