@@ -10,17 +10,10 @@
 // per-node targets scaled by node speed.  Expected shape: per-node targets
 // beat the uniform target (slow nodes thrash at counts the fast nodes
 // tolerate), and both beat static slots.
-#include "bench_common.hpp"
+#include "figures.hpp"
 
+namespace smr::bench {
 namespace {
-
-using namespace smr;
-
-bench::FigureTable& table() {
-  static bench::FigureTable t(
-      "Extension: heterogeneous cluster (8 fast + 8 half-speed), total time (s)");
-  return t;
-}
 
 enum class Variant { kHadoopV1, kUniform, kPerNode };
 
@@ -33,40 +26,35 @@ const char* variant_name(Variant v) {
   return "?";
 }
 
-void BM_Hetero(benchmark::State& state, workload::Puma bench_id, Variant variant) {
-  metrics::JobResult job;
-  for (auto _ : state) {
-    auto config = bench::paper_config(variant == Variant::kHadoopV1
-                                          ? driver::EngineKind::kHadoopV1
-                                          : driver::EngineKind::kSMapReduce);
-    config.runtime.cluster = cluster::ClusterSpec::heterogeneous(8, 8, 0.5);
-    config.slot_manager.per_node_targets = (variant == Variant::kPerNode);
-    job = bench::run_job(config, workload::make_puma_job(bench_id, 30 * kGiB));
-  }
-  state.counters["total_time_s"] = job.total_time();
-  table().set(workload::puma_name(bench_id), variant_name(variant), job.total_time());
-}
+}  // namespace
 
-void register_all() {
+void heterogeneous() {
+  struct Cell {
+    workload::Puma bench;
+    Variant variant;
+  };
+  std::vector<Cell> cells;
   for (workload::Puma bench_id :
        {workload::Puma::kHistogramRatings, workload::Puma::kTermVector,
         workload::Puma::kTerasort}) {
-    for (Variant variant :
-         {Variant::kHadoopV1, Variant::kUniform, Variant::kPerNode}) {
-      benchmark::RegisterBenchmark(
-          (std::string("Hetero/") + workload::puma_name(bench_id) + "/" +
-              variant_name(variant)).c_str(),
-          [bench_id, variant](benchmark::State& state) {
-            BM_Hetero(state, bench_id, variant);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
+    for (Variant variant : {Variant::kHadoopV1, Variant::kUniform, Variant::kPerNode}) {
+      cells.push_back({bench_id, variant});
     }
   }
+  const auto done = run_cells(cells, [](const Cell& cell) {
+    auto config = paper_config(cell.variant == Variant::kHadoopV1
+                                   ? driver::EngineKind::kHadoopV1
+                                   : driver::EngineKind::kSMapReduce);
+    config.runtime.cluster = cluster::ClusterSpec::heterogeneous(8, 8, 0.5);
+    config.slot_manager.per_node_targets = (cell.variant == Variant::kPerNode);
+    return run_job(config, workload::make_puma_job(cell.bench, 30 * kGiB));
+  });
+  FigureTable table(
+      "Extension: heterogeneous cluster (8 fast + 8 half-speed), total time (s)");
+  for (const auto& [cell, job] : done) {
+    table.set(workload::puma_name(cell.bench), variant_name(cell.variant), job.total_time());
+  }
+  table.print();
 }
 
-const bool registered = (register_all(), true);
-
-}  // namespace
-
-SMR_BENCH_MAIN(table().print())
+}  // namespace smr::bench

@@ -9,59 +9,42 @@
 // climbs, so no shrink happens), and a visible penalty plus a nonzero kill
 // count on reduce-heavy jobs where the balance controller pulls map slots
 // back down mid-flight.
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-namespace {
+namespace smr::bench {
 
-using namespace smr;
-
-bench::FigureTable& table() {
-  static bench::FigureTable t(
-      "Ablation: lazy vs eager slot shrinking, SMapReduce total time (s)");
-  return t;
-}
-bench::FigureTable& kills_table() {
-  static bench::FigureTable t("Ablation: map tasks killed by eager shrinking");
-  return t;
-}
-
-void BM_Lazy(benchmark::State& state, workload::Puma bench_id, bool eager) {
-  metrics::JobResult job;
-  double killed = 0.0;
-  for (auto _ : state) {
-    auto config = bench::paper_config(driver::EngineKind::kSMapReduce, /*trials=*/1);
-    config.runtime.eager_slot_shrink = eager;
-    mapreduce::Runtime runtime(config.runtime, driver::make_policy(config));
-    runtime.submit(workload::make_puma_job(bench_id, 30 * kGiB), 0.0);
-    job = runtime.run().jobs[0];
-    killed = runtime.killed_map_tasks();
-  }
-  state.counters["total_time_s"] = job.total_time();
-  state.counters["killed_maps"] = killed;
-  const char* column = eager ? "eager" : "lazy";
-  table().set(workload::puma_name(bench_id), column, job.total_time());
-  kills_table().set(workload::puma_name(bench_id), column, killed);
-}
-
-void register_all() {
+void lazy_slots() {
+  struct Cell {
+    workload::Puma bench;
+    bool eager;
+  };
+  struct Result {
+    double total_time = 0.0;
+    double killed = 0.0;
+  };
+  std::vector<Cell> cells;
   for (workload::Puma bench_id :
        {workload::Puma::kHistogramRatings, workload::Puma::kInvertedIndex,
         workload::Puma::kAdjacencyList, workload::Puma::kTerasort}) {
-    for (bool eager : {false, true}) {
-      benchmark::RegisterBenchmark(
-          (std::string("LazySlots/") + workload::puma_name(bench_id) + "/" +
-              (eager ? "eager" : "lazy")).c_str(),
-          [bench_id, eager](benchmark::State& state) {
-            BM_Lazy(state, bench_id, eager);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
+    for (bool eager : {false, true}) cells.push_back({bench_id, eager});
   }
+  const auto done = run_cells(cells, [](const Cell& cell) {
+    auto config = paper_config(driver::EngineKind::kSMapReduce, /*trials=*/1);
+    config.runtime.eager_slot_shrink = cell.eager;
+    mapreduce::Runtime runtime(config.runtime, driver::make_policy(config));
+    runtime.submit(workload::make_puma_job(cell.bench, 30 * kGiB), 0.0);
+    const double total_time = runtime.run().jobs[0].total_time();
+    return Result{total_time, static_cast<double>(runtime.killed_map_tasks())};
+  });
+  FigureTable table("Ablation: lazy vs eager slot shrinking, SMapReduce total time (s)");
+  FigureTable kills_table("Ablation: map tasks killed by eager shrinking");
+  for (const auto& [cell, result] : done) {
+    const char* column = cell.eager ? "eager" : "lazy";
+    table.set(workload::puma_name(cell.bench), column, result.total_time);
+    kills_table.set(workload::puma_name(cell.bench), column, result.killed);
+  }
+  table.print();
+  kills_table.print("%12.0f");
 }
 
-const bool registered = (register_all(), true);
-
-}  // namespace
-
-SMR_BENCH_MAIN(table().print(); kills_table().print("%12.0f"))
+}  // namespace smr::bench

@@ -13,68 +13,46 @@
 // plain FIFO is already gentler than a naive queue: once a job's maps are
 // all assigned, its map slots flow to the next job even while its reduce
 // phase runs (the barrier structure releases resources early).
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-namespace {
+namespace smr::bench {
 
-using namespace smr;
-
-bench::FigureTable& table() {
-  static bench::FigureTable t(
-      "Scheduler ablation: per-job turnaround (s), mixed 4-job batch");
-  return t;
-}
-
-std::vector<driver::JobSubmission> mixed_batch() {
-  std::vector<driver::JobSubmission> jobs;
-  jobs.push_back({workload::make_puma_job(workload::Puma::kTerasort, 30 * kGiB), 0.0});
-  jobs.push_back({workload::make_puma_job(workload::Puma::kInvertedIndex, 15 * kGiB), 10.0});
-  jobs.push_back({workload::make_puma_job(workload::Puma::kGrep, 8 * kGiB), 20.0});
-  jobs.push_back({workload::make_puma_job(workload::Puma::kHistogramRatings, 4 * kGiB), 30.0});
-  return jobs;
-}
-
-void BM_Schedulers(benchmark::State& state, driver::EngineKind engine,
-                   driver::SchedulerKind scheduler) {
-  metrics::RunResult result;
-  for (auto _ : state) {
-    auto config = bench::paper_config(engine);
-    config.scheduler = scheduler;
-    result = driver::run_experiment(config, mixed_batch());
-  }
-  state.counters["mean_execution_s"] = result.mean_execution_time();
-  state.counters["last_finish_s"] = result.last_finish_time();
-  const std::string column = std::string(driver::engine_name(engine)) + "/" +
-                             driver::scheduler_name(scheduler);
-  for (const auto& job : result.jobs) {
-    char row[64];
-    std::snprintf(row, sizeof(row), "%d: %s", job.id, job.name.c_str());
-    table().set(row, column, job.execution_time());
-  }
-  table().set("mean execution", column, result.mean_execution_time());
-  table().set("last finish", column, result.last_finish_time());
-}
-
-void register_all() {
+void schedulers() {
+  struct Cell {
+    driver::EngineKind engine;
+    driver::SchedulerKind scheduler;
+  };
+  std::vector<Cell> cells;
   for (driver::EngineKind engine :
        {driver::EngineKind::kHadoopV1, driver::EngineKind::kSMapReduce}) {
     for (driver::SchedulerKind scheduler :
          {driver::SchedulerKind::kFifo, driver::SchedulerKind::kFair}) {
-      benchmark::RegisterBenchmark(
-          (std::string("Schedulers/") + driver::engine_name(engine) + "/" +
-           driver::scheduler_name(scheduler))
-              .c_str(),
-          [engine, scheduler](benchmark::State& state) {
-            BM_Schedulers(state, engine, scheduler);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
+      cells.push_back({engine, scheduler});
     }
   }
+  const auto done = run_cells(cells, [](const Cell& cell) {
+    auto config = paper_config(cell.engine);
+    config.scheduler = cell.scheduler;
+    return driver::run_experiment(
+        config,
+        {{workload::make_puma_job(workload::Puma::kTerasort, 30 * kGiB), 0.0},
+         {workload::make_puma_job(workload::Puma::kInvertedIndex, 15 * kGiB), 10.0},
+         {workload::make_puma_job(workload::Puma::kGrep, 8 * kGiB), 20.0},
+         {workload::make_puma_job(workload::Puma::kHistogramRatings, 4 * kGiB), 30.0}});
+  });
+  FigureTable table("Scheduler ablation: per-job turnaround (s), mixed 4-job batch");
+  for (const auto& [cell, result] : done) {
+    const std::string column = std::string(driver::engine_name(cell.engine)) + "/" +
+                               driver::scheduler_name(cell.scheduler);
+    for (const auto& job : result.jobs) {
+      char row[64];
+      std::snprintf(row, sizeof(row), "%d: %s", job.id, job.name.c_str());
+      table.set(row, column, job.execution_time());
+    }
+    table.set("mean execution", column, result.mean_execution_time());
+    table.set("last finish", column, result.last_finish_time());
+  }
+  table.print();
 }
 
-const bool registered = (register_all(), true);
-
-}  // namespace
-
-SMR_BENCH_MAIN(table().print())
+}  // namespace smr::bench

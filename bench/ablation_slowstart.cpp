@@ -6,64 +6,39 @@
 // shape: a U — too low (especially 0 = disabled) risks wrong early
 // decisions on the reduce-heavy job, too high wastes adaptation time on
 // both; the paper's 10% sits in the flat bottom.
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-namespace {
+namespace smr::bench {
 
-using namespace smr;
-
-bench::FigureTable& table() {
-  static bench::FigureTable t(
-      "Slow-start ablation: SMapReduce map time (s) vs start threshold");
-  return t;
-}
-
-void BM_SlowStart(benchmark::State& state, workload::Puma bench_id,
-                  double fraction, bool enabled) {
-  metrics::JobResult job;
-  for (auto _ : state) {
-    auto config = bench::paper_config(driver::EngineKind::kSMapReduce, /*trials=*/3);
-    config.slot_manager.slow_start = enabled;
-    if (enabled) config.slot_manager.slow_start_fraction = fraction;
-    job = bench::run_job(config, workload::make_puma_job(bench_id, 30 * kGiB));
-  }
-  state.counters["map_time_s"] = job.map_time();
-  char row[32];
-  if (enabled) {
-    std::snprintf(row, sizeof(row), "threshold=%2.0f%%", 100.0 * fraction);
-  } else {
-    std::snprintf(row, sizeof(row), "disabled");
-  }
-  table().set(row, workload::puma_name(bench_id), job.map_time());
-}
-
-void register_all() {
-  const struct {
-    double fraction;
-    bool enabled;
-    const char* label;
-  } settings[] = {
-      {0.0, false, "off"},   {0.02, true, "2pct"}, {0.05, true, "5pct"},
-      {0.10, true, "10pct"}, {0.20, true, "20pct"}, {0.40, true, "40pct"},
+void slowstart() {
+  struct Cell {
+    workload::Puma bench;
+    double fraction;  // of finished maps; 0 disables slow start
   };
+  std::vector<Cell> cells;
   for (workload::Puma bench_id :
        {workload::Puma::kTerasort, workload::Puma::kHistogramRatings}) {
-    for (const auto& setting : settings) {
-      benchmark::RegisterBenchmark(
-          (std::string("SlowStart/") + workload::puma_name(bench_id) + "/" +
-           setting.label)
-              .c_str(),
-          [bench_id, setting](benchmark::State& state) {
-            BM_SlowStart(state, bench_id, setting.fraction, setting.enabled);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
+    for (double fraction : {0.0, 0.02, 0.05, 0.10, 0.20, 0.40}) {
+      cells.push_back({bench_id, fraction});
     }
   }
+  const auto done = run_cells(cells, [](const Cell& cell) {
+    auto config = paper_config(driver::EngineKind::kSMapReduce, /*trials=*/3);
+    config.slot_manager.slow_start = cell.fraction > 0.0;
+    if (cell.fraction > 0.0) config.slot_manager.slow_start_fraction = cell.fraction;
+    return run_job(config, workload::make_puma_job(cell.bench, 30 * kGiB));
+  });
+  FigureTable table("Slow-start ablation: SMapReduce map time (s) vs start threshold");
+  for (const auto& [cell, job] : done) {
+    char row[32];
+    if (cell.fraction > 0.0) {
+      std::snprintf(row, sizeof(row), "threshold=%2.0f%%", 100.0 * cell.fraction);
+    } else {
+      std::snprintf(row, sizeof(row), "disabled");
+    }
+    table.set(row, workload::puma_name(cell.bench), job.map_time());
+  }
+  table.print();
 }
 
-const bool registered = (register_all(), true);
-
-}  // namespace
-
-SMR_BENCH_MAIN(table().print())
+}  // namespace smr::bench

@@ -7,17 +7,10 @@
 // still wins overall, and speculation's benefit is largest on the static
 // engine (whose final waves otherwise idle most slots waiting for
 // stragglers).
-#include "bench_common.hpp"
+#include "figures.hpp"
 
+namespace smr::bench {
 namespace {
-
-using namespace smr;
-
-bench::FigureTable& table() {
-  static bench::FigureTable t(
-      "Speculation ablation: total time (s), straggler-heavy grep (cv=0.6)");
-  return t;
-}
 
 enum class Mode { kPlain, kMapOnly, kMapAndReduce };
 
@@ -30,39 +23,32 @@ const char* mode_name(Mode mode) {
   return "?";
 }
 
-void BM_Speculation(benchmark::State& state, driver::EngineKind engine, Mode mode) {
-  metrics::JobResult job;
-  for (auto _ : state) {
-    auto config = bench::paper_config(engine, /*trials=*/3);
-    config.runtime.speculative_execution = mode != Mode::kPlain;
-    config.runtime.speculative_reduce_execution = mode == Mode::kMapAndReduce;
-    auto spec = workload::make_puma_job(workload::Puma::kGrep, 30 * kGiB);
-    spec.duration_cv = 0.6;  // heavy straggling
-    job = bench::run_job(config, spec);
-  }
-  state.counters["map_time_s"] = job.map_time();
-  state.counters["total_time_s"] = job.total_time();
-  table().set(driver::engine_name(engine), mode_name(mode), job.total_time());
-}
-
-void register_all() {
-  for (driver::EngineKind engine : driver::all_engines()) {
-    for (Mode mode : {Mode::kPlain, Mode::kMapOnly, Mode::kMapAndReduce}) {
-      benchmark::RegisterBenchmark(
-          (std::string("Speculation/") + driver::engine_name(engine) + "/" +
-           mode_name(mode))
-              .c_str(),
-          [engine, mode](benchmark::State& state) {
-            BM_Speculation(state, engine, mode);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
-}
-
-const bool registered = (register_all(), true);
-
 }  // namespace
 
-SMR_BENCH_MAIN(table().print())
+void speculation() {
+  struct Cell {
+    driver::EngineKind engine;
+    Mode mode;
+  };
+  std::vector<Cell> cells;
+  for (driver::EngineKind engine : driver::all_engines()) {
+    for (Mode mode : {Mode::kPlain, Mode::kMapOnly, Mode::kMapAndReduce}) {
+      cells.push_back({engine, mode});
+    }
+  }
+  const auto done = run_cells(cells, [](const Cell& cell) {
+    auto config = paper_config(cell.engine, /*trials=*/3);
+    config.runtime.speculative_execution = cell.mode != Mode::kPlain;
+    config.runtime.speculative_reduce_execution = cell.mode == Mode::kMapAndReduce;
+    auto spec = workload::make_puma_job(workload::Puma::kGrep, 30 * kGiB);
+    spec.duration_cv = 0.6;  // heavy straggling
+    return run_job(config, spec);
+  });
+  FigureTable table("Speculation ablation: total time (s), straggler-heavy grep (cv=0.6)");
+  for (const auto& [cell, job] : done) {
+    table.set(driver::engine_name(cell.engine), mode_name(cell.mode), job.total_time());
+  }
+  table.print();
+}
+
+}  // namespace smr::bench

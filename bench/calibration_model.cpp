@@ -11,19 +11,12 @@
 // Expected shape: end-to-end sits at or below the analytic curve (waves
 // round up, heartbeats idle slots, reducers steal resources), with the
 // same hump position ±1 slot.
-#include "bench_common.hpp"
+#include "figures.hpp"
 
 #include "smr/cluster/compute_model.hpp"
 
+namespace smr::bench {
 namespace {
-
-using namespace smr;
-
-bench::FigureTable& table() {
-  static bench::FigureTable t(
-      "Calibration: analytic vs end-to-end map throughput (MiB/s), terasort");
-  return t;
-}
 
 double analytic_rate(const cluster::NodeSpec& node, const mapreduce::JobSpec& spec,
                      int n) {
@@ -41,38 +34,39 @@ double analytic_rate(const cluster::NodeSpec& node, const mapreduce::JobSpec& sp
   return total;
 }
 
-void BM_Calibration(benchmark::State& state, workload::Puma bench_id) {
-  const int slots = static_cast<int>(state.range(0));
-  const auto spec = workload::make_puma_job(bench_id, 30 * kGiB);
-  double measured = 0.0;
-  for (auto _ : state) {
-    auto config = bench::paper_config(driver::EngineKind::kHadoopV1);
-    config.runtime.initial_map_slots = slots;
-    measured = bench::run_job(config, spec).map_throughput() /
-               static_cast<double>(kMiB) / 16.0;  // per node
-  }
-  const double analytic =
-      analytic_rate(cluster::NodeSpec{}, spec, slots) / static_cast<double>(kMiB);
-  state.counters["analytic_MiB_s"] = analytic;
-  state.counters["measured_MiB_s"] = measured;
-  char row[32];
-  std::snprintf(row, sizeof(row), "map_slots=%d", slots);
-  const std::string prefix = workload::puma_name(bench_id);
-  table().set(row, prefix + "/model", analytic);
-  table().set(row, prefix + "/sim", measured);
-}
-
-void register_all() {
-  for (workload::Puma bench_id : {workload::Puma::kTerasort, workload::Puma::kGrep}) {
-    auto* b = benchmark::RegisterBenchmark(
-        (std::string("Calibration/") + workload::puma_name(bench_id)).c_str(),
-        [bench_id](benchmark::State& state) { BM_Calibration(state, bench_id); });
-    b->DenseRange(1, 10, 1)->Unit(benchmark::kMillisecond)->Iterations(1);
-  }
-}
-
-const bool registered = (register_all(), true);
-
 }  // namespace
 
-SMR_BENCH_MAIN(table().print("%12.1f"))
+void calibration() {
+  struct Cell {
+    workload::Puma bench;
+    int slots;
+  };
+  struct Rates {
+    double analytic = 0.0;
+    double measured = 0.0;
+  };
+  std::vector<Cell> cells;
+  for (workload::Puma bench_id : {workload::Puma::kTerasort, workload::Puma::kGrep}) {
+    for (int slots = 1; slots <= 10; ++slots) cells.push_back({bench_id, slots});
+  }
+  const auto done = run_cells(cells, [](const Cell& cell) {
+    const auto spec = workload::make_puma_job(cell.bench, 30 * kGiB);
+    auto config = paper_config(driver::EngineKind::kHadoopV1);
+    config.runtime.initial_map_slots = cell.slots;
+    return Rates{analytic_rate(cluster::NodeSpec{}, spec, cell.slots) /
+                     static_cast<double>(kMiB),
+                 run_job(config, spec).map_throughput() / static_cast<double>(kMiB) /
+                     16.0};  // per node
+  });
+  FigureTable table("Calibration: analytic vs end-to-end map throughput (MiB/s), terasort");
+  for (const auto& [cell, rates] : done) {
+    char row[32];
+    std::snprintf(row, sizeof(row), "map_slots=%d", cell.slots);
+    const std::string prefix = workload::puma_name(cell.bench);
+    table.set(row, prefix + "/model", rates.analytic);
+    table.set(row, prefix + "/sim", rates.measured);
+  }
+  table.print();
+}
+
+}  // namespace smr::bench

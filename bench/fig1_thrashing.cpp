@@ -9,43 +9,30 @@
 // (input bytes / map time).  Expected shape: throughput rises roughly
 // proportionally, then stalls/falls past a per-workload thrashing point,
 // ordered Grep > TermVector > Terasort.
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-namespace {
+namespace smr::bench {
 
-using namespace smr;
-
-bench::FigureTable& table() {
-  static bench::FigureTable t("Fig 1: map throughput (MiB/s) vs map slots per node");
-  return t;
-}
-
-void BM_Fig1(benchmark::State& state, workload::Puma bench_id) {
-  const int slots = static_cast<int>(state.range(0));
-  metrics::JobResult job;
-  for (auto _ : state) {
-    auto config = bench::paper_config(driver::EngineKind::kHadoopV1);
-    config.runtime.initial_map_slots = slots;
-    job = bench::run_job(config, workload::make_puma_job(bench_id, 30 * kGiB));
-  }
-  const double throughput_mib = job.map_throughput() / static_cast<double>(kMiB);
-  state.counters["map_throughput_MiB_s"] = throughput_mib;
-  state.counters["map_time_s"] = job.map_time();
-  table().set(std::string("map_slots=") + std::to_string(slots),
-              workload::puma_name(bench_id), throughput_mib);
-}
-
-void register_all() {
+void fig1() {
+  struct Cell {
+    workload::Puma bench;
+    int slots;
+  };
+  std::vector<Cell> cells;
   for (workload::Puma bench_id : workload::fig1_benchmarks()) {
-    auto* b = benchmark::RegisterBenchmark(
-        (std::string("Fig1/") + workload::puma_name(bench_id)).c_str(),
-        [bench_id](benchmark::State& state) { BM_Fig1(state, bench_id); });
-    b->DenseRange(1, 14, 1)->Unit(benchmark::kMillisecond)->Iterations(1);
+    for (int slots = 1; slots <= 14; ++slots) cells.push_back({bench_id, slots});
   }
+  const auto done = run_cells(cells, [](const Cell& cell) {
+    auto config = paper_config(driver::EngineKind::kHadoopV1);
+    config.runtime.initial_map_slots = cell.slots;
+    return run_job(config, workload::make_puma_job(cell.bench, 30 * kGiB));
+  });
+  FigureTable table("Fig 1: map throughput (MiB/s) vs map slots per node");
+  for (const auto& [cell, job] : done) {
+    table.set("map_slots=" + std::to_string(cell.slots), workload::puma_name(cell.bench),
+              job.map_throughput() / static_cast<double>(kMiB));
+  }
+  table.print();
 }
 
-const bool registered = (register_all(), true);
-
-}  // namespace
-
-SMR_BENCH_MAIN(table().print())
+}  // namespace smr::bench

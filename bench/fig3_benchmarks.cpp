@@ -6,60 +6,35 @@
 // largest wins on map-heavy jobs (HistogramRatings ≈ +140% throughput vs
 // HadoopV1, +72% vs YARN); YARN between the two; Terasort the lone
 // exception where SMapReduce is slightly slower than both.
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-namespace {
+namespace smr::bench {
 
-using namespace smr;
-
-bench::FigureTable& map_table() {
-  static bench::FigureTable t("Fig 3a: map time (s)");
-  return t;
-}
-bench::FigureTable& reduce_table() {
-  static bench::FigureTable t("Fig 3b: reduce time (s)");
-  return t;
-}
-bench::FigureTable& total_table() {
-  static bench::FigureTable t("Fig 3c: total execution time (s)");
-  return t;
-}
-
-void BM_Fig3(benchmark::State& state, driver::EngineKind engine,
-             workload::Puma bench_id) {
-  metrics::JobResult job;
-  for (auto _ : state) {
-    job = bench::run_job(bench::paper_config(engine),
-                         workload::make_puma_job(bench_id, 30 * kGiB));
-  }
-  state.counters["map_time_s"] = job.map_time();
-  state.counters["reduce_time_s"] = job.reduce_time();
-  state.counters["total_time_s"] = job.total_time();
-  state.counters["throughput_MiB_s"] = job.throughput() / static_cast<double>(kMiB);
-  const std::string row = workload::puma_name(bench_id);
-  const std::string column = driver::engine_name(engine);
-  map_table().set(row, column, job.map_time());
-  reduce_table().set(row, column, job.reduce_time());
-  total_table().set(row, column, job.total_time());
-}
-
-void register_all() {
+void fig3() {
+  struct Cell {
+    workload::Puma bench;
+    driver::EngineKind engine;
+  };
+  std::vector<Cell> cells;
   for (workload::Puma bench_id : workload::fig3_benchmarks()) {
-    for (driver::EngineKind engine : driver::all_engines()) {
-      benchmark::RegisterBenchmark(
-          (std::string("Fig3/") + workload::puma_name(bench_id) + "/" +
-              driver::engine_name(engine)).c_str(),
-          [engine, bench_id](benchmark::State& state) {
-            BM_Fig3(state, engine, bench_id);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
+    for (driver::EngineKind engine : driver::all_engines()) cells.push_back({bench_id, engine});
   }
+  const auto done = run_cells(cells, [](const Cell& cell) {
+    return run_job(paper_config(cell.engine), workload::make_puma_job(cell.bench, 30 * kGiB));
+  });
+  FigureTable map_table("Fig 3a: map time (s)");
+  FigureTable reduce_table("Fig 3b: reduce time (s)");
+  FigureTable total_table("Fig 3c: total execution time (s)");
+  for (const auto& [cell, job] : done) {
+    const std::string row = workload::puma_name(cell.bench);
+    const std::string column = driver::engine_name(cell.engine);
+    map_table.set(row, column, job.map_time());
+    reduce_table.set(row, column, job.reduce_time());
+    total_table.set(row, column, job.total_time());
+  }
+  map_table.print();
+  reduce_table.print();
+  total_table.print();
 }
 
-const bool registered = (register_all(), true);
-
-}  // namespace
-
-SMR_BENCH_MAIN(map_table().print(); reduce_table().print(); total_table().print())
+}  // namespace smr::bench

@@ -7,46 +7,31 @@
 // any starting configuration, and matches V1/YARN where their static
 // choice happens to be optimal (paper: 10-18% over YARN, 30-160% over V1
 // across 2-6 slots).
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-namespace {
+namespace smr::bench {
 
-using namespace smr;
-
-bench::FigureTable& table() {
-  static bench::FigureTable t(
-      "Fig 5: HistogramRatings map time (s) vs initial map slots per node");
-  return t;
-}
-
-void BM_Fig5(benchmark::State& state, driver::EngineKind engine) {
-  const int slots = static_cast<int>(state.range(0));
-  metrics::JobResult job;
-  for (auto _ : state) {
-    auto config = bench::paper_config(engine);
-    config.runtime.initial_map_slots = slots;
-    job = bench::run_job(config,
-                         workload::make_puma_job(workload::Puma::kHistogramRatings,
-                                                 30 * kGiB));
-  }
-  state.counters["map_time_s"] = job.map_time();
-  table().set(std::string("map_slots=") + std::to_string(slots),
-              driver::engine_name(engine), job.map_time());
-}
-
-void register_all() {
+void fig5() {
+  struct Cell {
+    driver::EngineKind engine;
+    int slots;
+  };
+  std::vector<Cell> cells;
   for (driver::EngineKind engine : driver::all_engines()) {
-    benchmark::RegisterBenchmark(
-        (std::string("Fig5/histogram-ratings/") + driver::engine_name(engine)).c_str(),
-        [engine](benchmark::State& state) { BM_Fig5(state, engine); })
-        ->DenseRange(1, 8, 1)
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
+    for (int slots = 1; slots <= 8; ++slots) cells.push_back({engine, slots});
   }
+  const auto done = run_cells(cells, [](const Cell& cell) {
+    auto config = paper_config(cell.engine);
+    config.runtime.initial_map_slots = cell.slots;
+    return run_job(config,
+                   workload::make_puma_job(workload::Puma::kHistogramRatings, 30 * kGiB));
+  });
+  FigureTable table("Fig 5: HistogramRatings map time (s) vs initial map slots per node");
+  for (const auto& [cell, job] : done) {
+    table.set("map_slots=" + std::to_string(cell.slots), driver::engine_name(cell.engine),
+              job.map_time());
+  }
+  table.print();
 }
 
-const bool registered = (register_all(), true);
-
-}  // namespace
-
-SMR_BENCH_MAIN(table().print())
+}  // namespace smr::bench

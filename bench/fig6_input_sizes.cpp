@@ -5,47 +5,32 @@
 // SMapReduce's throughput climbs with input size because a longer job gives
 // the slot manager more time at the optimal configuration (paper: ~2.0x
 // HadoopV1 and ~1.3x YARN at 250 GB).
-#include "bench_common.hpp"
+#include "figures.hpp"
 
-namespace {
+namespace smr::bench {
 
-using namespace smr;
-
-bench::FigureTable& table() {
-  static bench::FigureTable t(
-      "Fig 6: HistogramRatings job throughput (MiB/s) vs input size");
-  return t;
-}
-
-void BM_Fig6(benchmark::State& state, driver::EngineKind engine) {
-  const auto input = static_cast<Bytes>(state.range(0)) * kGiB;
-  metrics::JobResult job;
-  for (auto _ : state) {
-    job = bench::run_job(
-        bench::paper_config(engine),
-        workload::make_puma_job(workload::Puma::kHistogramRatings, input));
-  }
-  const double throughput_mib = job.throughput() / static_cast<double>(kMiB);
-  state.counters["throughput_MiB_s"] = throughput_mib;
-  state.counters["total_time_s"] = job.total_time();
-  char row[32];
-  std::snprintf(row, sizeof(row), "input=%3lld GiB",
-                static_cast<long long>(state.range(0)));
-  table().set(row, driver::engine_name(engine), throughput_mib);
-}
-
-void register_all() {
+void fig6() {
+  struct Cell {
+    driver::EngineKind engine;
+    int gib;
+  };
+  std::vector<Cell> cells;
   for (driver::EngineKind engine : driver::all_engines()) {
-    auto* b = benchmark::RegisterBenchmark(
-        (std::string("Fig6/histogram-ratings/") + driver::engine_name(engine)).c_str(),
-        [engine](benchmark::State& state) { BM_Fig6(state, engine); });
-    for (long long gib : {50, 100, 150, 200, 250}) b->Arg(gib);
-    b->Unit(benchmark::kMillisecond)->Iterations(1);
+    for (int gib : {50, 100, 150, 200, 250}) cells.push_back({engine, gib});
   }
+  const auto done = run_cells(cells, [](const Cell& cell) {
+    return run_job(paper_config(cell.engine),
+                   workload::make_puma_job(workload::Puma::kHistogramRatings,
+                                           cell.gib * kGiB));
+  });
+  FigureTable table("Fig 6: HistogramRatings job throughput (MiB/s) vs input size");
+  for (const auto& [cell, job] : done) {
+    char row[32];
+    std::snprintf(row, sizeof(row), "input=%3d GiB", cell.gib);
+    table.set(row, driver::engine_name(cell.engine),
+              job.throughput() / static_cast<double>(kMiB));
+  }
+  table.print();
 }
 
-const bool registered = (register_all(), true);
-
-}  // namespace
-
-SMR_BENCH_MAIN(table().print())
+}  // namespace smr::bench

@@ -6,16 +6,10 @@
 // into paging); without slow start the result depends on whether the early
 // noisy statistics happened to steer the right way — sometimes better,
 // usually worse; full SMapReduce is the fastest configuration.
-#include "bench_common.hpp"
+#include "figures.hpp"
 
+namespace smr::bench {
 namespace {
-
-using namespace smr;
-
-bench::FigureTable& table() {
-  static bench::FigureTable t("Fig 7: map time (s) ablations");
-  return t;
-}
 
 enum class Variant { kHadoopV1, kYarn, kFull, kNoThrashDetect, kNoSlowStart };
 
@@ -33,57 +27,50 @@ const char* variant_name(Variant v) {
 driver::ExperimentConfig config_for(Variant v) {
   switch (v) {
     case Variant::kHadoopV1:
-      return bench::paper_config(driver::EngineKind::kHadoopV1);
+      return paper_config(driver::EngineKind::kHadoopV1);
     case Variant::kYarn:
-      return bench::paper_config(driver::EngineKind::kYarn);
+      return paper_config(driver::EngineKind::kYarn);
     case Variant::kFull:
-      return bench::paper_config(driver::EngineKind::kSMapReduce);
+      return paper_config(driver::EngineKind::kSMapReduce);
     case Variant::kNoThrashDetect: {
-      auto config = bench::paper_config(driver::EngineKind::kSMapReduce);
+      auto config = paper_config(driver::EngineKind::kSMapReduce);
       config.slot_manager.detect_thrashing = false;
       return config;
     }
     case Variant::kNoSlowStart: {
-      auto config = bench::paper_config(driver::EngineKind::kSMapReduce);
+      auto config = paper_config(driver::EngineKind::kSMapReduce);
       config.slot_manager.slow_start = false;
       return config;
     }
   }
-  return bench::paper_config(driver::EngineKind::kSMapReduce);
+  return paper_config(driver::EngineKind::kSMapReduce);
 }
-
-void BM_Fig7(benchmark::State& state, Variant variant, workload::Puma bench_id) {
-  metrics::JobResult job;
-  for (auto _ : state) {
-    job = bench::run_job(config_for(variant),
-                         workload::make_puma_job(bench_id, 30 * kGiB));
-  }
-  state.counters["map_time_s"] = job.map_time();
-  table().set(workload::puma_name(bench_id), variant_name(variant), job.map_time());
-}
-
-void register_all() {
-  // One reduce-heavy benchmark (where climbing unchecked is catastrophic)
-  // and one map-heavy benchmark (where the early statistics mislead).
-  const workload::Puma benches[] = {workload::Puma::kTerasort,
-                                    workload::Puma::kHistogramRatings};
-  for (workload::Puma bench_id : benches) {
-    for (Variant variant : {Variant::kHadoopV1, Variant::kYarn, Variant::kFull,
-                            Variant::kNoThrashDetect, Variant::kNoSlowStart}) {
-      benchmark::RegisterBenchmark(
-          (std::string("Fig7/") + workload::puma_name(bench_id) + "/" +
-              variant_name(variant)).c_str(),
-          [variant, bench_id](benchmark::State& state) {
-            BM_Fig7(state, variant, bench_id);
-          })
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
-    }
-  }
-}
-
-const bool registered = (register_all(), true);
 
 }  // namespace
 
-SMR_BENCH_MAIN(table().print())
+void fig7() {
+  struct Cell {
+    workload::Puma bench;
+    Variant variant;
+  };
+  // One reduce-heavy benchmark (where climbing unchecked is catastrophic)
+  // and one map-heavy benchmark (where the early statistics mislead).
+  std::vector<Cell> cells;
+  for (workload::Puma bench_id :
+       {workload::Puma::kTerasort, workload::Puma::kHistogramRatings}) {
+    for (Variant variant : {Variant::kHadoopV1, Variant::kYarn, Variant::kFull,
+                            Variant::kNoThrashDetect, Variant::kNoSlowStart}) {
+      cells.push_back({bench_id, variant});
+    }
+  }
+  const auto done = run_cells(cells, [](const Cell& cell) {
+    return run_job(config_for(cell.variant), workload::make_puma_job(cell.bench, 30 * kGiB));
+  });
+  FigureTable table("Fig 7: map time (s) ablations");
+  for (const auto& [cell, job] : done) {
+    table.set(workload::puma_name(cell.bench), variant_name(cell.variant), job.map_time());
+  }
+  table.print();
+}
+
+}  // namespace smr::bench

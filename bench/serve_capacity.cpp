@@ -7,27 +7,15 @@
 // under the bound and no shedding — is the headline capacity number.
 // Expected shape: SMapReduce's faster per-job completion (Fig. 8) turns
 // into a higher sustainable arrival rate than HadoopV1's static slots.
-//
-// Set SMR_CAPACITY_JSON=<path> to also dump the machine-readable
-// rate-vs-p99 report (the same JSON smr_serve --capacity-out writes).
-#include <cstdlib>
-#include <fstream>
-
-#include "bench_common.hpp"
+#include "figures.hpp"
 #include "smr/serve/capacity.hpp"
 
+namespace smr::bench {
 namespace {
-
-using namespace smr;
-
-bench::FigureTable& table() {
-  static bench::FigureTable t("Serving capacity: p99 sojourn (s) by offered rate");
-  return t;
-}
 
 serve::CapacityConfig capacity_config() {
   serve::CapacityConfig config;
-  config.base.experiment = bench::paper_config(driver::EngineKind::kSMapReduce);
+  config.base.experiment = paper_config(driver::EngineKind::kSMapReduce);
   config.base.experiment.scheduler = driver::SchedulerKind::kDeadline;
 
   workload::SyntheticMixConfig shape;
@@ -61,55 +49,23 @@ serve::CapacityConfig capacity_config() {
   return config;
 }
 
-std::vector<serve::CapacityCurve>& curves() {
-  static std::vector<serve::CapacityCurve> c;
-  return c;
-}
-
-char rate_row[64];
-
-void register_engine(driver::EngineKind engine) {
-  benchmark::RegisterBenchmark(
-      (std::string("ServeCapacity/") + driver::engine_name(engine)).c_str(),
-      [engine](benchmark::State& state) {
-        serve::CapacityCurve curve;
-        const serve::CapacityConfig config = capacity_config();
-        for (auto _ : state) {
-          curve = serve::sweep_capacity(config, engine);
-        }
-        for (const auto& point : curve.points) {
-          std::snprintf(rate_row, sizeof(rate_row), "p99 @ %4.0f jobs/h",
-                        point.jobs_per_hour);
-          table().set(rate_row, curve.engine,
-                      point.report.aggregate.latency.p99);
-        }
-        table().set("knee (jobs/h)", curve.engine, curve.knee_jobs_per_hour);
-        state.counters["knee_jobs_per_hour"] = curve.knee_jobs_per_hour;
-        curves().push_back(std::move(curve));
-      })
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(1);
-}
-
-const bool registered = [] {
-  for (driver::EngineKind engine : driver::all_engines()) {
-    register_engine(engine);
-  }
-  return true;
-}();
-
-void maybe_write_capacity_json() {
-  const char* path = std::getenv("SMR_CAPACITY_JSON");
-  if (path == nullptr || curves().empty()) return;
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path);
-    return;
-  }
-  serve::write_capacity_json(capacity_config(), curves(), out);
-  std::printf("capacity json written to %s\n", path);
-}
-
 }  // namespace
 
-SMR_BENCH_MAIN(table().print("%12.1f"); maybe_write_capacity_json())
+void serve_capacity() {
+  const serve::CapacityConfig config = capacity_config();
+  const auto done = run_cells(driver::all_engines(), [&config](driver::EngineKind engine) {
+    return serve::sweep_capacity(config, engine);
+  });
+  FigureTable table("Serving capacity: p99 sojourn (s) by offered rate");
+  for (const auto& [engine, curve] : done) {
+    for (const auto& point : curve.points) {
+      char row[64];
+      std::snprintf(row, sizeof(row), "p99 @ %4.0f jobs/h", point.jobs_per_hour);
+      table.set(row, curve.engine, point.report.aggregate.latency.p99);
+    }
+    table.set("knee (jobs/h)", curve.engine, curve.knee_jobs_per_hour);
+  }
+  table.print();
+}
+
+}  // namespace smr::bench

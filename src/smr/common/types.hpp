@@ -30,19 +30,6 @@ inline constexpr Bytes kGiB = 1024 * kMiB;
 /// Largest representable time; used as "never" for unscheduled deadlines.
 inline constexpr SimTime kTimeNever = std::numeric_limits<SimTime>::infinity();
 
-constexpr Bytes operator""_KiB(unsigned long long v) {
-  return static_cast<Bytes>(v) * kKiB;
-}
-constexpr Bytes operator""_MiB(unsigned long long v) {
-  return static_cast<Bytes>(v) * kMiB;
-}
-constexpr Bytes operator""_GiB(unsigned long long v) {
-  return static_cast<Bytes>(v) * kGiB;
-}
-
-/// Bytes -> mebibytes as a double (for rate math and reporting).
-constexpr double to_mib(Bytes b) { return static_cast<double>(b) / static_cast<double>(kMiB); }
-
 /// Bytes -> gibibytes as a double.
 constexpr double to_gib(Bytes b) { return static_cast<double>(b) / static_cast<double>(kGiB); }
 

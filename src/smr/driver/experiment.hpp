@@ -1,6 +1,6 @@
 // Experiment harness: builds a cluster + engine + workload, runs it (over
 // several trials, as the paper averages two), and returns the metrics.
-// Every bench binary and example goes through this interface.
+// smr_figures, smr_sim and the examples go through this interface.
 #pragma once
 
 #include <memory>

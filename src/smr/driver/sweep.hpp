@@ -4,8 +4,8 @@
 // count, or the seed) across a list of values and runs every (value,
 // engine) cell — each cell deterministic, all cells concurrently on the
 // process thread pool.  Used by the smr_sweep CLI and the capacity-planning
-// example; the figure benches keep their own loops so each cell shows up as
-// a google-benchmark entry.
+// example; smr_figures lists its own cells, since a figure's cells differ
+// in more than one dimension.
 #pragma once
 
 #include <optional>

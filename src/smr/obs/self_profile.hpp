@@ -4,8 +4,8 @@
 // perf work needs a baseline to beat): wall-clock per run, simulated
 // seconds covered, discrete events dispatched, events per wall second,
 // peak event-queue depth and the heap footprint of an attached trace.
-// Exported as a single-line JSON object so CLI runs (--metrics-out) and
-// benches (SMR_PERF_JSON) produce machine-diffable numbers.
+// Exported as a single-line JSON object so CLI runs (--metrics-out)
+// produce machine-diffable numbers.
 #pragma once
 
 #include <chrono>

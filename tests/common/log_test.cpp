@@ -58,7 +58,7 @@ TEST_F(LogTest, MacroDoesNotEvaluateStreamWhenDisabled) {
 }
 
 TEST_F(LogTest, DisabledMacrosEmitNothingUnderConcurrency) {
-  // Serialisation of actual emission is exercised by the benches (parallel
+  // Serialisation of actual emission is exercised by smr_figures (parallel
   // simulations log warnings); here we hammer the disabled path from many
   // threads and assert no stream expression ever runs.
   Logger::instance().set_level(LogLevel::kOff);

@@ -5,17 +5,9 @@
 namespace smr {
 namespace {
 
-TEST(Units, LiteralsScaleByPowersOf1024) {
-  EXPECT_EQ(1_KiB, 1024);
-  EXPECT_EQ(1_MiB, 1024 * 1024);
-  EXPECT_EQ(1_GiB, 1024LL * 1024 * 1024);
-  EXPECT_EQ(3_GiB, 3 * kGiB);
-}
-
 TEST(Units, ConversionsRoundTrip) {
-  EXPECT_DOUBLE_EQ(to_mib(5_MiB), 5.0);
-  EXPECT_DOUBLE_EQ(to_gib(5_GiB), 5.0);
-  EXPECT_DOUBLE_EQ(to_gib(512_MiB), 0.5);
+  EXPECT_DOUBLE_EQ(to_gib(5 * kGiB), 5.0);
+  EXPECT_DOUBLE_EQ(to_gib(512 * kMiB), 0.5);
 }
 
 TEST(Format, BytesPicksSensibleUnit) {

@@ -1,5 +1,5 @@
 // Driver-level integration tests: the experiment harness wiring that every
-// bench binary relies on.
+// figure in smr_figures relies on.
 #include <gtest/gtest.h>
 
 #include "smr/core/slot_policy.hpp"

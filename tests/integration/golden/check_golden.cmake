@@ -1,13 +1,16 @@
 # Golden-output check, run as a ctest entry:
 #
 #   cmake -DTOOL=<binary> -DARGS=<flag string> -DOUTPUT=<produced files>
-#         -DGOLDEN=<checked-in files> -DTHREADS=<pool size> -P check_golden.cmake
+#         -DGOLDEN=<checked-in files> -DTHREADS=<pool size>
+#         [-DSTDOUT=<file>] -P check_golden.cmake
 #
 # Runs the tool with SMR_THREADS pinned (so the same entry can exercise a
 # 1-thread and a 16-thread pool) and fails unless every produced file is
 # byte-identical to its checked-in golden; on a mismatch the message names
 # the first differing line and quotes it from both files.  OUTPUT and GOLDEN are
-# ;-separated lists of equal length, paired in order.  Regenerate goldens by running
+# ;-separated lists of equal length, paired in order.  The tool's stdout is
+# discarded unless STDOUT names a file to write it to, which OUTPUT may then
+# list.  Regenerate goldens by running
 # the same tool command manually and copying the output over — but a
 # legitimate regeneration should be rare and deliberate: these files pin
 # the simulator's bit-for-bit reproducibility.
@@ -62,8 +65,13 @@ endforeach()
 
 separate_arguments(tool_args NATIVE_COMMAND "${ARGS}")
 set(ENV{SMR_THREADS} "${THREADS}")
-execute_process(COMMAND ${TOOL} ${tool_args}
-  RESULT_VARIABLE run_rc OUTPUT_QUIET ERROR_VARIABLE run_err)
+if(DEFINED STDOUT)
+  execute_process(COMMAND ${TOOL} ${tool_args}
+    RESULT_VARIABLE run_rc OUTPUT_FILE "${STDOUT}" ERROR_VARIABLE run_err)
+else()
+  execute_process(COMMAND ${TOOL} ${tool_args}
+    RESULT_VARIABLE run_rc OUTPUT_QUIET ERROR_VARIABLE run_err)
+endif()
 if(NOT run_rc EQUAL 0)
   message(FATAL_ERROR "${TOOL} exited ${run_rc}: ${run_err}")
 endif()

@@ -1,6 +1,6 @@
 // The paper's headline evaluation claims, asserted at full paper scale
 // (16 worker nodes, 30 GB inputs).  These are the guardrails behind every
-// figure bench: if one of these breaks, EXPERIMENTS.md is stale.
+// smr_figures table: if one of these breaks, EXPERIMENTS.md is stale.
 #include <gtest/gtest.h>
 
 #include "smr/driver/experiment.hpp"
