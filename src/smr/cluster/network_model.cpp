@@ -1,6 +1,7 @@
 #include "smr/cluster/network_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -151,18 +152,63 @@ bool NetworkModel::cache_usable(std::span<const NetFlow> flows, bool& caps_only)
   return true;
 }
 
-double NetworkModel::fold(const PointPort& point, double diffuse_weight) const {
-  // The oracle's sum for this port: its live flows in ascending index
-  // order, diffuse ones adding 1/n and the port's point flows adding 1.0.
-  double sumw = 0.0;
-  std::size_t d = 0;
-  for (std::uint32_t k = point.begin; k < point.end; ++k) {
-    const std::uint32_t i = point_flows_[k];
-    for (; d < diffuse_.size() && diffuse_[d] < i; ++d) sumw += diffuse_weight;
-    sumw += 1.0;
+double add_run(double x, double w, std::uint64_t k, std::uint64_t& steps) {
+  constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;  // significands in [kHidden, kTop)
+  const auto wbits = std::bit_cast<std::uint64_t>(w);
+  const std::uint64_t wsig = (wbits & (kHidden - 1)) | kHidden;
+  const auto wexp = static_cast<int>(wbits >> 52);
+  while (k > 0) {
+    ++steps;
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    // w in units of u, x's ulp: q + rem / 2^shift.
+    const int shift = static_cast<int>(bits >> 52) - wexp;
+    if (shift > 53) return x;  // w < u/2: every addition rounds back to x
+    const std::uint64_t q = wsig >> shift;
+    const std::uint64_t rem = wsig & ((std::uint64_t{1} << shift) - 1);
+    const std::uint64_t half = shift == 0 ? 0 : std::uint64_t{1} << (shift - 1);
+    if (shift > 0 && rem == half) {  // a tie: the rounding reads x's last bit
+      x += w;
+      --k;
+      continue;
+    }
+    const std::uint64_t r = q + (rem > half ? 1 : 0);  // fl(x + w) = x + r·u in the binade
+    if (r == 0) return x;
+    // Addition i (from 0) stays in the binade iff x + i·r·u + w < 2^(e+1),
+    // i.e. sig + i·r + q <= kTop - 1 in units of u, whatever rem is.
+    const std::uint64_t room = kTop - 1 - ((bits & (kHidden - 1)) | kHidden);
+    const std::uint64_t in_binade = q > room ? 0 : (room - q) / r + 1;
+    const std::uint64_t m = std::min(in_binade, k);
+    x = std::bit_cast<double>(bits + m * r);  // a carry lands exactly on 2^(e+1)
+    k -= m;
+    if (k > 0) {  // crosses into the next binade
+      x += w;
+      --k;
+    }
   }
-  for (; d < diffuse_.size(); ++d) sumw += diffuse_weight;
-  return sumw;
+  return x;
+}
+
+// The oracle's sum for this port: its live flows in ascending index order,
+// diffuse ones adding 1/n and the port's point flows adding 1.0.  A binary
+// search in the sorted diffuse list counts each run of diffuse terms; the
+// first run, from 0, is diffuse_sum_, and every later one is added to a sum
+// >= 1 by add_run().
+double NetworkModel::fold(const PointPort& point, double diffuse_weight) {
+  if (point.begin == point.end) return diffuse_sum_[diffuse_.size()];
+  auto d = diffuse_.cbegin();
+  double sumw = 0.0;
+  for (std::uint32_t k = point.begin; k < point.end; ++k) {
+    const auto next = std::lower_bound(d, diffuse_.cend(), point_flows_[k]);
+    const auto run = static_cast<std::uint64_t>(next - d);
+    sumw = k == point.begin ? diffuse_sum_[run]
+                            : add_run(sumw, diffuse_weight, run, work_.fold_steps);
+    sumw += 1.0;
+    ++work_.fold_steps;
+    d = next;
+  }
+  return add_run(sumw, diffuse_weight, static_cast<std::uint64_t>(diffuse_.cend() - d),
+                 work_.fold_steps);
 }
 
 std::uint32_t NetworkModel::add_port(double capacity, double sumw, bool tx) {
@@ -175,19 +221,31 @@ std::uint32_t NetworkModel::add_port(double capacity, double sumw, bool tx) {
   return static_cast<std::uint32_t>(ports_.size() - 1);
 }
 
-// Replay the rounds since the port's last sync: the oracle's update of this
-// resource, under the weight sum it had throughout.
-void NetworkModel::sync(Port& port) const {
-  for (std::size_t k = port.synced; k < deltas_.size(); ++k) {
-    port.remaining -= deltas_[k] * port.sumw;
+// The oracle's update of this resource for rounds [synced, end), under the
+// weight sum it had throughout.
+void NetworkModel::replay(Port& port, std::uint32_t end, double sumw) {
+  for (std::uint32_t k = port.synced; k < end; ++k) {
+    port.remaining -= deltas_[k] * sumw;
     if (port.remaining < 0.0) port.remaining = 0.0;  // numerical guard
   }
-  port.synced = static_cast<std::uint32_t>(deltas_.size());
+  work_.replayed_steps += end - port.synced;
+  port.synced = end;
 }
 
+// Replay every round since the port's last sync: each deferred segment
+// under its own weight, in order, then the rest under the current one.
+void NetworkModel::sync(Port& port) {
+  for (std::uint32_t s = port.first; s != kNoSegment; s = segments_[s].next) {
+    replay(port, segments_[s].end, segments_[s].sumw);
+    ++work_.replayed_segments;
+  }
+  port.first = port.last = kNoSegment;
+  replay(port, static_cast<std::uint32_t>(deltas_.size()), port.sumw);
+}
+
+// Every caller has just synced the port (or it has seen no round yet).
 void NetworkModel::requeue(std::uint32_t id, double level, double margin) {
   Port& port = ports_[id];
-  sync(port);
   const double reach = level + port.remaining / port.sumw;
   double key = reach - margin * reach - port.saturated_below / port.sumw;
   if (std::isnan(key)) key = kInf;  // infinite remaining: due only on an unbounded round
@@ -197,16 +255,32 @@ void NetworkModel::requeue(std::uint32_t id, double level, double margin) {
   std::push_heap(due_.begin(), due_.end(), std::greater<>{});
 }
 
+// Weights only fall during a solve.  A queued port is not due, so it keeps
+// its key, a lower bound under the heavier weight and so under the lighter
+// one, and the weight it had until now becomes a deferred segment that
+// sync() replays when the port comes due.  A port popped this round was
+// synced by it and is requeued under the new weight.
 void NetworkModel::reweigh(std::uint32_t id, double sumw, double level, double margin) {
   Port& port = ports_[id];
-  sync(port);  // under the old weight
+  const double old = port.sumw;
   port.sumw = sumw;
-  if (sumw > 0.0) {
-    requeue(id, level, margin);
-  } else {
-    ++port.version;  // no live flow uses it, now or later: retire it
+  if (sumw == 0.0) {
+    ++port.version;  // no live flow uses it, now or later: retire it unsynced
     port.queued = false;
+    return;
   }
+  if (!port.queued) {
+    requeue(id, level, margin);
+    return;
+  }
+  ++work_.deferred_reweighs;
+  const auto now = static_cast<std::uint32_t>(deltas_.size());
+  const std::uint32_t since = port.first == kNoSegment ? port.synced : segments_[port.last].end;
+  if (since == now) return;  // the old weight saw no round
+  const auto id_segment = static_cast<std::uint32_t>(segments_.size());
+  segments_.push_back({old, now, kNoSegment});
+  (port.first == kNoSegment ? port.first : segments_[port.last].next) = id_segment;
+  port.last = id_segment;
 }
 
 // Progressive filling with max_min_allocate()'s exact arithmetic, on the
@@ -223,10 +297,11 @@ void NetworkModel::reweigh(std::uint32_t id, double sumw, double level, double m
 //     the lowest live cap can win: fl(cap - level) is monotone in cap.
 //
 // Ports (every resource but the fabric) are lazy.  Each keeps its exact
-// remaining value as of its last sync and is replayed from the delta log
-// only when its weight changes or it is due.  It is due once the level may
-// reach `key` = reach - margin * reach - saturated_below / sumw, where
-// reach = level + remaining / sumw at the sync.  Until then, by the error
+// remaining value as of its last sync and is replayed from the delta log,
+// under the weights it had (see reweigh()), only when it comes due.  It is
+// due once the level may reach `key` = reach - margin * reach -
+// saturated_below / sumw, where reach = level + remaining / sumw at the
+// sync.  Until then, by the error
 // bounds below, its candidate stays >= every round's delta and it stays
 // above its saturation threshold, so it cannot change any round: each
 // replayed step is within 2u * remaining of exact, the level within
@@ -287,6 +362,7 @@ void NetworkModel::waterfill() {
   // an ascending slice of point_flows_), and one per capacity group of the
   // other tx ports when diffuse flows load them.
   ports_.clear();
+  segments_.clear();
   due_.clear();
   deltas_.clear();
   rx_port_.resize(un);
@@ -339,11 +415,10 @@ void NetworkModel::waterfill() {
   by_cap_.clear();
   for (const std::uint32_t i : active_) {
     const double cap = flows_[i].rate_cap;
-    if (cap != kNoCap && !std::isnan(cap)) by_cap_.push_back(i);
+    if (cap != kNoCap && !std::isnan(cap)) by_cap_.push_back({cap, i});
   }
-  std::sort(by_cap_.begin(), by_cap_.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return flows_[a].rate_cap < flows_[b].rate_cap;
-  });
+  std::sort(by_cap_.begin(), by_cap_.end(),
+            [](const Capped& a, const Capped& b) { return a.cap < b.cap; });
 
   const double margin =
       1e-9 + 16.0 * kUnitRoundoff * static_cast<double>(active_.size() + 8);
@@ -353,10 +428,10 @@ void NetworkModel::waterfill() {
   std::size_t live = active_.size();
   std::size_t lowest_cap = 0;
   while (live > 0) {
-    while (lowest_cap < by_cap_.size() && live_[by_cap_[lowest_cap]] == 0) ++lowest_cap;
+    while (lowest_cap < by_cap_.size() && live_[by_cap_[lowest_cap].flow] == 0) ++lowest_cap;
     double delta = kInf;
     if (lowest_cap < by_cap_.size()) {
-      delta = std::min(delta, flows_[by_cap_[lowest_cap]].rate_cap - level);
+      delta = std::min(delta, by_cap_[lowest_cap].cap - level);
     }
     const auto fabric_sumw = static_cast<double>(live);
     delta = std::min(delta, fabric / fabric_sumw);
@@ -379,6 +454,7 @@ void NetworkModel::waterfill() {
     delta = std::max(delta, 0.0);
     level += delta;
     deltas_.push_back(delta);
+    ++work_.rounds;
 
     fabric -= delta * fabric_sumw;
     if (fabric < 0.0) fabric = 0.0;
@@ -400,8 +476,8 @@ void NetworkModel::waterfill() {
     frozen_.clear();
     const double cap_bound = level + 4.0 * kMaxMinEps * (1.0 + level);
     for (std::size_t k = lowest_cap; k < by_cap_.size(); ++k) {
-      const std::uint32_t i = by_cap_[k];
-      const double cap = flows_[i].rate_cap;
+      const std::uint32_t i = by_cap_[k].flow;
+      const double cap = by_cap_[k].cap;
       if (cap > cap_bound) break;
       if (live_[i] != 0 && level >= cap - kMaxMinEps * (1.0 + cap)) {
         rates_[i] = cap;

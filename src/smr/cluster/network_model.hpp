@@ -35,8 +35,33 @@ struct NetFlow {
   double rate_cap = kNoCap;
 };
 
+/// `k` sequential additions x = fl(x + w), exactly as the loop rounds them,
+/// in O(binades crossed) steps instead of O(k): within one binade every
+/// addition adds the same rounded multiple of the ulp, so a run is one
+/// integer add, plus one ordinary addition at each binade crossing.  An
+/// exact half-ulp tie, where ties-to-even reads x's last bit, is stepped.
+/// Requires 0 < w <= x, both finite and normal.  Adds the steps taken to
+/// `steps`.
+double add_run(double x, double w, std::uint64_t k, std::uint64_t& steps);
+
 class NetworkModel {
  public:
+  /// Work counters of the water-fill behind allocate_cached(), summed over
+  /// its full solves.  Deterministic: the same calls count the same on any
+  /// host.
+  struct WaterfillStats {
+    /// Water-fill rounds (level raises).
+    std::uint64_t rounds = 0;
+    /// Delta-log steps replayed into a port by sync().
+    std::uint64_t replayed_steps = 0;
+    /// Weight falls on a queued port, recorded without a sync.
+    std::uint64_t deferred_reweighs = 0;
+    /// Deferred weight segments replayed when their port came due.
+    std::uint64_t replayed_segments = 0;
+    /// Additions and add_run() steps of the point-port folds.
+    std::uint64_t fold_steps = 0;
+  };
+
   explicit NetworkModel(const ClusterSpec& spec) : spec_(&spec) {}
 
   /// Allocate rates for `flows`.  `fetch_streams_per_node[d]` is the number
@@ -68,6 +93,8 @@ class NetworkModel {
   /// counts as the cache hit that solver would have scored).
   const MaxMinSolver::Stats& solver_stats() const { return stats_; }
 
+  const WaterfillStats& waterfill_stats() const { return work_; }
+
   /// The generic max-min problem behind `flows`: capacities laid out as
   /// [0, n) receive ports, [n, 2n) transmit ports, 2n fabric, and one demand
   /// per flow.  Used by allocate() and by tests that cross-check the
@@ -78,15 +105,22 @@ class NetworkModel {
                      std::vector<FlowDemand>& demands) const;
 
  private:
+  static constexpr std::uint32_t kNoSegment = ~std::uint32_t{0};
+
   /// A resource other than the fabric, updated lazily: `remaining` is exact
   /// as of round `synced`, and the rounds since are replayed from the delta
   /// log only when the water-fill needs the value (see waterfill()).
   struct Port {
     double remaining = 0.0;
     double saturated_below = 0.0;
-    /// Weight sum of the live flows on it; constant since `synced`.
+    /// Weight sum of the live flows on it, since the end of its last
+    /// deferred segment (or since `synced` when it has none).
     double sumw = 0.0;
     std::uint32_t synced = 0;
+    /// Its deferred segments, oldest first: segments_[first], chained by
+    /// `next` to segments_[last].
+    std::uint32_t first = kNoSegment;
+    std::uint32_t last = kNoSegment;
     /// Bumped whenever the port is re-queued or retired: older heap
     /// entries are stale.
     std::uint32_t version = 0;
@@ -102,6 +136,12 @@ class NetworkModel {
     /// With std::greater the heap pops the soonest key first.
     friend bool operator>(const Due& a, const Due& b) { return a.key > b.key; }
   };
+  /// A weight sum a queued port had until round `end` (exclusive).
+  struct Segment {
+    double sumw = 0.0;
+    std::uint32_t end = 0;
+    std::uint32_t next = kNoSegment;
+  };
   /// A tx port with an active point flow at the start of the solve.  Its
   /// weight sum is the ordered fold of its live point flows (1.0 each) and
   /// the live diffuse flows (1/n each).
@@ -112,15 +152,22 @@ class NetworkModel {
     std::uint32_t end = 0;
     bool dirty = false;
   };
+  /// A capped flow and its cap, kept together so the cap-sorted list is
+  /// sorted and scanned without touching flows_.
+  struct Capped {
+    double cap = 0.0;
+    std::uint32_t flow = 0;
+  };
 
   void port_capacities(std::span<const int> fetch_streams_per_node,
                        std::vector<double>& capacities) const;
   void check_flows(std::span<const NetFlow> flows) const;
   bool cache_usable(std::span<const NetFlow> flows, bool& caps_only) const;
   void waterfill();
-  double fold(const PointPort& point, double diffuse_weight) const;
+  double fold(const PointPort& point, double diffuse_weight);
   std::uint32_t add_port(double capacity, double sumw, bool tx);
-  void sync(Port& port) const;
+  void replay(Port& port, std::uint32_t end, double sumw);
+  void sync(Port& port);
   void requeue(std::uint32_t id, double level, double margin);
   void reweigh(std::uint32_t id, double sumw, double level, double margin);
   PointPort& point_port(NodeId src) {
@@ -129,6 +176,7 @@ class NetworkModel {
 
   const ClusterSpec* spec_;
   MaxMinSolver::Stats stats_;
+  WaterfillStats work_;
   std::vector<double> empty_;
 
   // Cached problem (the last call's raw inputs) and its solution.
@@ -144,11 +192,12 @@ class NetworkModel {
   std::vector<double> next_capacities_;
   std::vector<double> deltas_;
   std::vector<Port> ports_;
+  std::vector<Segment> segments_;
   std::vector<Due> due_;
   std::vector<std::uint32_t> touched_;
   std::vector<std::uint32_t> active_;
   std::vector<std::uint32_t> diffuse_;
-  std::vector<std::uint32_t> by_cap_;
+  std::vector<Capped> by_cap_;
   std::vector<std::uint32_t> frozen_;
   std::vector<unsigned char> live_;
   std::vector<std::uint32_t> rx_live_;

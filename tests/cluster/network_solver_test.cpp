@@ -13,8 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,6 +29,7 @@ namespace smr::cluster {
 namespace {
 
 constexpr double kMiBf = static_cast<double>(kMiB);
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 enum class Mix { kDiffuse, kPoint, kInterleaved };
 enum class Nics { kHomogeneous, kFewSpeeds, kAllDistinct, kSomeZero };
@@ -285,6 +290,188 @@ TEST(NetworkSolverDifferential, OneNodeDiffuseEqualsPointFromNodeZero) {
   EXPECT_EQ(net.allocate_cached(flows, {}), first);
   EXPECT_EQ(net.solver_stats().cache_hits, 1u);
   EXPECT_EQ(first, net.allocate(flows, {}));
+}
+
+// A tick of the 2 000-node `bigcluster` shape: ~30 reducers shuffling
+// (diffuse flows, most pinned at the 12 MiB/s fetch cap, a few below it on
+// their backlog) and ~200 remote map reads (point flows, capped by their
+// remaining bytes or the reader's CPU), some from a few hot senders; as in
+// `bigcluster`, no resource saturates.  Flows are in the runtime's order:
+// by receiver, shuffles first.
+// With `tight`, a third of the reads come from the hot senders, whose NICs
+// are cut along with the fabric, so that ports saturate after several of
+// their flows have frozen at their caps.
+struct BigclusterTick {
+  ClusterSpec spec;
+  std::vector<NetFlow> flows;
+  std::vector<int> streams;
+};
+
+BigclusterTick bigcluster_tick(Rng& rng, bool tight) {
+  constexpr int kNodes = 2000;
+  constexpr double kFetchCap = 12.0 * kMiBf;
+  constexpr int kParallelCopies = 5;
+  BigclusterTick tick{ClusterSpec::paper_testbed(kNodes), {}, {}};
+  std::vector<NodeId> hot;
+  for (int k = 0; k < 6; ++k) hot.push_back(static_cast<NodeId>(pick(rng, kNodes)));
+  if (tight) {
+    for (const NodeId h : hot) {
+      NodeSpec& node = tick.spec.workers[static_cast<std::size_t>(h)];
+      node.nic_bandwidth = rng.uniform(60.0, 160.0) * kMiBf;
+    }
+    tick.spec.network.fabric_bandwidth = rng.uniform(1500.0, 2500.0) * kMiBf;
+  }
+  struct Entry {
+    NetFlow flow;
+    bool point = false;
+  };
+  std::vector<Entry> entries;
+  const auto diffuse = rng.uniform_int(26, 34);
+  for (std::int64_t r = 0; r < diffuse; ++r) {
+    const double cap = rng.uniform() < 0.8 ? kFetchCap : rng.uniform(0.5, 12.0) * kMiBf;
+    entries.push_back({{static_cast<NodeId>(pick(rng, kNodes)), kInvalidNode, cap}, false});
+  }
+  const auto points = rng.uniform_int(180, 220);
+  for (std::int64_t m = 0; m < points; ++m) {
+    const NodeId src = rng.uniform() < (tight ? 0.35 : 0.12)
+                           ? hot[static_cast<std::size_t>(pick(rng, hot.size()))]
+                           : static_cast<NodeId>(pick(rng, kNodes));
+    const double cap = rng.uniform(1.0, tight ? 45.0 : 20.0) * kMiBf;
+    entries.push_back({{static_cast<NodeId>(pick(rng, kNodes)), src, cap}, true});
+  }
+  std::stable_sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+    return a.flow.dst != b.flow.dst ? a.flow.dst < b.flow.dst : a.point < b.point;
+  });
+  tick.streams.assign(kNodes, 0);
+  for (const Entry& entry : entries) {
+    tick.flows.push_back(entry.flow);
+    if (!entry.point) tick.streams[static_cast<std::size_t>(entry.flow.dst)] += kParallelCopies;
+  }
+  return tick;
+}
+
+// The differential suite above stops at 300 nodes.  At `bigcluster` scale
+// the point ports fold hundreds of diffuse terms and the queued ports take
+// many deferred weight falls; in the tight variant ports come due after
+// them and saturate, so the deferred segments are replayed and read.
+TEST(NetworkSolverDifferential, BigclusterShapedSolvesMatchOracleBitwise) {
+  Rng rng(0xb16c1ULL);
+  for (const bool tight : {false, true}) {
+    NetworkModel::WaterfillStats work;
+    std::size_t below_cap = 0;
+    for (int solve = 0; solve < 4; ++solve) {
+      SCOPED_TRACE(std::string(tight ? "tight" : "loose") + " solve " + std::to_string(solve));
+      const BigclusterTick tick = bigcluster_tick(rng, tight);
+      NetworkModel net(tick.spec);
+      const std::vector<double> expected = net.allocate(tick.flows, tick.streams);
+      const std::vector<double>& actual = net.allocate_cached(tick.flows, tick.streams);
+      ASSERT_EQ(actual.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(actual[i], expected[i]) << "flow " << i;
+        ASSERT_EQ(std::signbit(actual[i]), std::signbit(expected[i])) << "flow " << i;
+        if (actual[i] < tick.flows[i].rate_cap) ++below_cap;
+      }
+      EXPECT_EQ(net.solver_stats().full_solves, 1u);
+      const NetworkModel::WaterfillStats& got = net.waterfill_stats();
+      work.rounds += got.rounds;
+      work.replayed_steps += got.replayed_steps;
+      work.deferred_reweighs += got.deferred_reweighs;
+      work.replayed_segments += got.replayed_segments;
+      work.fold_steps += got.fold_steps;
+    }
+    EXPECT_GT(work.deferred_reweighs, 0u);
+    if (tight) {
+      // Ports saturated (flows froze below their caps), and ports with
+      // deferred segments came due and were replayed under them.
+      EXPECT_GT(below_cap, 0u);
+      EXPECT_GT(work.replayed_segments, 0u);
+      EXPECT_GT(work.replayed_steps, 0u);
+    } else {
+      EXPECT_EQ(below_cap, 0u);  // every flow froze at its cap
+    }
+  }
+}
+
+// The water-fill's work counters on one seeded `bigcluster`-shaped solve.
+// They are deterministic, so a change that brings back replaying retired
+// ports or the O(diffuse) fold shows here on any host.
+TEST(NetworkModel, WaterfillCountersPinnedOnBigclusterShapedSolve) {
+  struct Pin {
+    bool tight;
+    NetworkModel::WaterfillStats work;
+  };
+  // {rounds, replayed steps, deferred weight falls, replayed segments, fold steps}
+  const Pin pins[] = {{false, {218, 0, 1380, 0, 2497}}, {true, {43, 120, 528, 20, 1715}}};
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.tight ? "tight" : "loose");
+    Rng rng(0x5eed2000ULL);
+    const BigclusterTick tick = bigcluster_tick(rng, pin.tight);
+    NetworkModel net(tick.spec);
+    net.allocate_cached(tick.flows, tick.streams);
+    const NetworkModel::WaterfillStats& work = net.waterfill_stats();
+    EXPECT_EQ(work.rounds, pin.work.rounds);
+    EXPECT_EQ(work.replayed_steps, pin.work.replayed_steps);
+    EXPECT_EQ(work.deferred_reweighs, pin.work.deferred_reweighs);
+    EXPECT_EQ(work.replayed_segments, pin.work.replayed_segments);
+    EXPECT_EQ(work.fold_steps, pin.work.fold_steps);
+  }
+}
+
+// add_run() against the loop it replaces, bit for bit: 1/n weights for
+// n up to 20 000 (dyadic ones among them), runs up to 30 000 long, sums
+// from 1 up to far past where 1/n falls below half an ulp, sums a few
+// ulps either side of a binade edge, and sums in the binade where 1/n is
+// an odd multiple of half an ulp, so that every addition is a tie.
+TEST(NetworkModel, AddRunMatchesSteppingLoop) {
+  Rng rng(0xadd5ULL);
+  std::uint64_t ties = 0;
+  std::uint64_t edges = 0;
+  for (int c = 0; c < 200000; ++c) {
+    const double kind_n = rng.uniform();
+    std::int64_t n = 0;
+    if (kind_n < 0.15) {
+      n = std::int64_t{1} << rng.uniform_int(0, 14);  // 1 .. 16 384, with 16 and 1 024
+    } else if (kind_n < 0.6) {
+      n = static_cast<std::int64_t>(std::exp(rng.uniform(0.0, std::log(20000.0))));
+    } else {
+      n = rng.uniform_int(1, 20000);
+    }
+    const double w = 1.0 / static_cast<double>(n);
+    const auto k = static_cast<std::uint64_t>(std::exp(rng.uniform(0.0, std::log(30001.0))) - 1.0);
+    double x = 0.0;
+    const double kind_x = rng.uniform();
+    if (kind_x < 0.3) {
+      x = rng.uniform(1.0, 300.0);
+    } else if (kind_x < 0.45) {
+      x = std::ldexp(rng.uniform(1.0, 2.0), static_cast<int>(rng.uniform_int(8, 45)));
+    } else if (kind_x < 0.75) {
+      // A few ulps either side of 2^e.
+      const double edge = std::ldexp(1.0, static_cast<int>(rng.uniform_int(0, 30)));
+      x = edge;
+      const auto offset = rng.uniform_int(-40, 40);
+      for (std::int64_t j = 0; j < std::abs(offset); ++j) {
+        x = std::nextafter(x, offset < 0 ? 0.0 : kInf);
+      }
+      ++edges;
+    } else {
+      // The binade whose half ulp is w's lowest set bit: fl(x + w) is a tie.
+      int lowest = 0;
+      std::frexp(w, &lowest);
+      lowest -= 53 - std::countr_zero(std::bit_cast<std::uint64_t>(w) | (std::uint64_t{1} << 52));
+      x = std::ldexp(rng.uniform(1.0, 2.0), lowest + 53);
+      ++ties;
+    }
+    if (x < w) x = w;
+    double want = x;
+    for (std::uint64_t i = 0; i < k; ++i) want += w;
+    std::uint64_t steps = 0;
+    const double got = add_run(x, w, k, steps);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << "x " << x << " n " << n << " k " << k;
+    ASSERT_LE(steps, k);
+  }
+  EXPECT_GT(ties, 40000u);
+  EXPECT_GT(edges, 50000u);
 }
 
 // The part of an SmrError message after the source location.
