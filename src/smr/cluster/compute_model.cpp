@@ -106,8 +106,14 @@ const std::vector<double>& ComputeModel::solve_cached(
     const NodeSpec& node, const Occupancy& occ, const BackgroundLoad& background,
     std::span<const PhaseLoad> loads) {
   if (loads.empty()) return empty_;
+  take_loads(node, loads);
+  return solve_capacities(node, occ, background);
+}
 
-  const std::array<double, 2> capacities = capacities_for(node, occ, background);
+// MaxMinSolver's cache rule on the derived problem, less the capacities:
+// equal resource uses and every moved cap slack.  A used resource always
+// weighs > 0 and an unused one 0.0, so equal uses are exactly equal weights.
+void ComputeModel::take_loads(const NodeSpec& node, std::span<const PhaseLoad> loads) {
   const std::size_t nf = loads.size();
   next_cpu_w_.resize(nf);
   next_disk_w_.resize(nf);
@@ -119,15 +125,33 @@ const std::vector<double>& ComputeModel::solve_cached(
     next_cap_[i] = flow.cap;
   }
 
-  ++stats_.calls;
-  bool caps_only = false;
-  const bool reuse = cache_usable(capacities, caps_only);
-  // The cached problem becomes this call's, whichever path answers it.
+  FlowMatch match = valid_ && nf == cap_.size() ? FlowMatch::kSame : FlowMatch::kDiffer;
+  for (std::size_t i = 0; i < nf && match != FlowMatch::kDiffer; ++i) {
+    if (next_cpu_w_[i] != cpu_w_[i] || next_disk_w_[i] != disk_w_[i]) {
+      match = FlowMatch::kDiffer;
+    } else if (next_cap_[i] != cap_[i]) {
+      // A rate cap moved.  The degenerate all-blocked ending gives no
+      // guarantee about the delta sequence, so it disables this path.
+      match = !degenerate_ && cap_move_is_slack(next_cap_[i], rates_[i],
+                                                frozen_by_cap_[i] != 0)
+                  ? FlowMatch::kSlackCapsMoved
+                  : FlowMatch::kDiffer;
+    }
+  }
+  flows_ = match;
   cpu_w_.swap(next_cpu_w_);
   disk_w_.swap(next_disk_w_);
   cap_.swap(next_cap_);
-  if (reuse) {
-    ++(caps_only ? stats_.cap_fast_hits : stats_.cache_hits);
+}
+
+const std::vector<double>& ComputeModel::solve_capacities(
+    const NodeSpec& node, const Occupancy& occ, const BackgroundLoad& background) {
+  const std::array<double, 2> capacities = capacities_for(node, occ, background);
+  ++stats_.calls;
+  const FlowMatch flows = flows_;
+  flows_ = FlowMatch::kSame;  // the cached problem is this call's from here
+  if (valid_ && flows != FlowMatch::kDiffer && capacities == capacities_) {
+    ++(flows == FlowMatch::kSlackCapsMoved ? stats_.cap_fast_hits : stats_.cache_hits);
     return rates_;
   }
 
@@ -137,27 +161,6 @@ const std::vector<double>& ComputeModel::solve_cached(
   waterfill();
   valid_ = true;
   return rates_;
-}
-
-// MaxMinSolver's cache rule on the derived problem: equal capacities, equal
-// resource uses and every moved cap slack.  A used resource always weighs
-// > 0 and an unused one 0.0, so equal uses are exactly equal weights.
-bool ComputeModel::cache_usable(const std::array<double, 2>& capacities,
-                                bool& caps_only) const {
-  caps_only = false;
-  if (!valid_ || next_cap_.size() != cap_.size() || capacities != capacities_) return false;
-  for (std::size_t i = 0; i < cap_.size(); ++i) {
-    if (next_cpu_w_[i] != cpu_w_[i] || next_disk_w_[i] != disk_w_[i]) return false;
-    const double cap = next_cap_[i];
-    if (cap == cap_[i]) continue;
-    // A rate cap moved.  The degenerate all-blocked ending gives no
-    // guarantee about the delta sequence, so it disables this path.
-    if (degenerate_ || !cap_move_is_slack(cap, rates_[i], frozen_by_cap_[i] != 0)) {
-      return false;
-    }
-    caps_only = true;
-  }
-  return true;
 }
 
 // Progressive filling with max_min_allocate()'s exact arithmetic, on the

@@ -106,9 +106,26 @@ class ComputeModel {
   /// cap_move_is_slack() and skips the water-fill too.  Keep one instance
   /// per simulated node (the node spec must not change between calls); NOT
   /// thread-safe.  The returned reference is invalidated by the next call.
+  /// It is take_loads() followed by solve_capacities().
   const std::vector<double>& solve_cached(const NodeSpec& node, const Occupancy& occ,
                                           const BackgroundLoad& background,
                                           std::span<const PhaseLoad> loads);
+
+  /// solve_cached()'s first step: translate `loads` (non-empty) into flows
+  /// and compare them with the cached problem's, the weight and cap half of
+  /// the cache rule.  The cached problem takes the new flows either way.
+  void take_loads(const NodeSpec& node, std::span<const PhaseLoad> loads);
+
+  /// solve_cached()'s second step: the rates of the flows last taken under
+  /// these capacities, from the cache when the rule allows, else from the
+  /// water-fill.  Called again without a take_loads() in between, the flows
+  /// are the solved ones, so the rule reduces to equal capacities: the
+  /// runtime's path for a node whose only change is its background.
+  const std::vector<double>& solve_capacities(const NodeSpec& node, const Occupancy& occ,
+                                              const BackgroundLoad& background);
+
+  /// The rates of the last solve, which an unchanged problem reproduces.
+  const std::vector<double>& rates() const { return rates_; }
 
   /// Counters of solve_cached(), equal to those of a MaxMinSolver fed
   /// build_problem() for every call with a non-empty load list.
@@ -137,7 +154,6 @@ class ComputeModel {
   static std::array<double, 2> capacities_for(const NodeSpec& node,
                                               const Occupancy& occ,
                                               const BackgroundLoad& background);
-  bool cache_usable(const std::array<double, 2>& capacities, bool& caps_only) const;
   void waterfill();
 
   MaxMinSolver::Stats stats_;
@@ -152,6 +168,10 @@ class ComputeModel {
   std::vector<double> rates_;
   std::vector<unsigned char> frozen_by_cap_;
   bool degenerate_ = false;
+  /// What take_loads() found against the cached problem, which the next
+  /// solve_capacities() reads and resets to kSame.
+  enum class FlowMatch : unsigned char { kDiffer, kSame, kSlackCapsMoved };
+  FlowMatch flows_ = FlowMatch::kDiffer;
 
   // This call's flows, swapped into the cached problem once compared, and
   // the water-fill's active list; both reused across calls.

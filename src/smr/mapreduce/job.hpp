@@ -67,9 +67,24 @@ struct Job {
                               static_cast<double>(maps.size());
   }
 
-  /// Map progress 0..1 (mean task progress, Hadoop-style).
+  /// The slice of one kind's tasks whose progress the position does not
+  /// already fix.  Every task below `done` is kDone (progress 1.0); no task
+  /// at or above `hi` has ever run, so each still weighs its submit-time
+  /// progress: +0.0, or a constant for an empty phase, which submit() keeps
+  /// below `hi`.  `done` advances at completion and drops to a requeued
+  /// map's index; `hi` rises at a primary's launch.
+  struct TaskWindow {
+    int done = 0;
+    int hi = 0;
+  };
+  TaskWindow map_window;
+  TaskWindow reduce_window;
+
+  /// Map progress 0..1 (mean task progress, Hadoop-style), bit for bit the
+  /// in-order sum over every task: done leading 1.0 terms sum to exactly
+  /// done, and a +0.0 tail leaves a non-negative sum unchanged.
   double map_progress() const;
-  /// Reduce progress 0..1.
+  /// Reduce progress 0..1, the same way.
   double reduce_progress() const;
 };
 

@@ -77,7 +77,7 @@ Runtime::Runtime(RuntimeConfig config, std::unique_ptr<AllocationPolicy> policy,
   node_models_.resize(node_alive_.size());
   node_dirty_.assign(node_alive_.size(), 1);
   node_bg_prev_.assign(node_alive_.size(), cluster::BackgroundLoad{});
-  node_rates_cache_.resize(node_alive_.size());
+  node_loaded_.assign(node_alive_.size(), 0);
   setup_shards();
 }
 
@@ -91,6 +91,17 @@ cluster::MaxMinSolver::Stats Runtime::solver_stats() const {
     total.full_solves += s.full_solves;
   }
   return total;
+}
+
+Runtime::TickWork Runtime::tick_work() const {
+  TickWork work;
+  for (const ShardScratch& s : shards_) {
+    work.quiet_replays += s.quiet_replays;
+    work.capacity_resolves += s.capacity_resolves;
+    work.load_rebuilds += s.load_rebuilds;
+  }
+  work.progress_terms = progress_terms_;
+  return work;
 }
 
 JobId Runtime::submit(const JobSpec& spec, SimTime at) {
@@ -132,6 +143,9 @@ JobId Runtime::submit(const JobSpec& spec, SimTime at) {
           static_cast<double>(task.output_size) / spec.combiner_reduction));
     }
     set_task_ref(task.id, TaskRef{job.id, static_cast<int>(b), true});
+    // A never-run map with no input weighs 0.5, not +0.0: keep it in the
+    // progress window.
+    if (task.input_size == 0) job.map_window.hi = static_cast<int>(b) + 1;
     job.maps.push_back(task);
   }
   // Map output is partitioned uniformly over the reduce tasks (Section
@@ -151,6 +165,8 @@ JobId Runtime::submit(const JobSpec& spec, SimTime at) {
     task.partition_size = base + extra;
     task.cost_factor = task_rng.jitter(spec.duration_cv);
     set_task_ref(task.id, TaskRef{job.id, r, false});
+    // Likewise an empty partition weighs 1/3 (its shuffle) before it runs.
+    if (task.partition_size == 0) job.reduce_window.hi = r + 1;
     job.reduces.push_back(task);
   }
 
@@ -415,6 +431,12 @@ void Runtime::complete_task(Job& job, Task& task, TaskId attempt_id) {
   if (has_shadow(task.id)) kill_shadow(task);
   task.phase = Kind::kDone;
   task.finish_time = engine_.now();
+  Job::TaskWindow& window = Kind::window(job);
+  const std::vector<Task>& tasks = Kind::tasks(job);
+  while (window.done < window.hi &&
+         tasks[static_cast<std::size_t>(window.done)].phase == Kind::kDone) {
+    ++window.done;
+  }
   recorder_.attempt_finished(task.finish_time, job.id, task.id, attempt_id,
                              task.node, Kind::kIsMap,
                              task.finish_time - task.start_time);
@@ -647,6 +669,8 @@ void Runtime::requeue_completed_map(Job& job, MapTask& task) {
   recorder_.completed_map_lost(engine_.now(), task.job, task.id, task.node);
   --job.maps_finished;
   --job.maps_assigned;
+  job.map_window.done =
+      std::min(job.map_window.done, static_cast<int>(&task - job.maps.data()));
   rollback_progress(task);  // all of its input, the task being done
   job.map_output_produced -= static_cast<double>(task.output_size);
   cum_map_output_ -= static_cast<double>(task.output_size);
@@ -1060,6 +1084,9 @@ void Runtime::start_attempt(Job& job, Task& task, TaskTracker& tracker,
   Kind::launch(tracker, task.id);
   mark_node_dirty(tracker.node());
   if (!speculative) {
+    Job::TaskWindow& window = Kind::window(job);
+    window.hi = std::max(window.hi,
+                         static_cast<int>(&task - Kind::tasks(job).data()) + 1);
     ++Kind::assigned(job);
     if (!job.started()) job.start_time = now;
   }
@@ -1104,17 +1131,13 @@ bool Runtime::launch_speculative(TaskTracker& tracker) {
     // Hadoop's speculation heuristic; comparing only against other
     // *running* tasks would blind the detector in the final wave, where
     // everyone still running is a straggler.
-    double mean_progress = 0.0;
-    bool any_running = false;
-    for (const Task& task : tasks) {
-      mean_progress += task.progress();
-      any_running = any_running || task.running();
-    }
-    if (!any_running) continue;
-    mean_progress /= static_cast<double>(tasks.size());
+    const double mean_progress = Kind::progress(job);
 
+    // Only the progress window can hold a running task.
     Task* straggler = nullptr;
-    for (Task& task : tasks) {
+    const Job::TaskWindow& window = Kind::window(job);
+    for (int i = window.done; i < window.hi; ++i) {
+      Task& task = tasks[static_cast<std::size_t>(i)];
       if (!task.running() || has_shadow(task.id)) continue;
       if (task.node == tracker.node()) continue;  // duplicate elsewhere
       if (now - task.start_time < config_.speculative_min_age) continue;
@@ -1227,6 +1250,9 @@ void Runtime::on_sample() {
     sample.map_pct = 100.0 * job.map_progress();
     sample.reduce_pct = 100.0 * job.reduce_progress();
     result_.progress[j].push_back(sample);
+    progress_terms_ += static_cast<std::uint64_t>(
+        job.map_window.hi - job.map_window.done + job.reduce_window.hi -
+        job.reduce_window.done);
   }
   metrics::SlotSample slot_sample = slot_totals(now);
   record_sample(slot_sample);
@@ -1275,7 +1301,9 @@ void Runtime::record_sample(const metrics::SlotSample& totals) {
     const Job& job = jobs_[j];
     pending_maps += job.maps_pending();
     pending_reduces += job.reduces_pending();
-    for (const ReduceTask& task : job.reduces) {
+    // A reduce outside the progress window is not running.
+    for (int i = job.reduce_window.done; i < job.reduce_window.hi; ++i) {
+      const ReduceTask& task = job.reduces[static_cast<std::size_t>(i)];
       if (task.running() && task.phase == ReducePhase::kShuffling) {
         shuffle_backlog += task.backlog();
       }

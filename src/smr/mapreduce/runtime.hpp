@@ -170,6 +170,8 @@ struct TaskKind<MapTask> {
   static constexpr MapPhase kDone = MapPhase::kDone;
   static constexpr const char* kName = "map";
   static std::vector<MapTask>& tasks(Job& job) { return job.maps; }
+  static Job::TaskWindow& window(Job& job) { return job.map_window; }
+  static double progress(const Job& job) { return job.map_progress(); }
   static int& assigned(Job& job) { return job.maps_assigned; }
   static int& finished(Job& job) { return job.maps_finished; }
   static void launch(TaskTracker& tracker, TaskId id) { tracker.launch_map(id); }
@@ -204,6 +206,8 @@ struct TaskKind<ReduceTask> {
   static constexpr ReducePhase kDone = ReducePhase::kDone;
   static constexpr const char* kName = "reduce";
   static std::vector<ReduceTask>& tasks(Job& job) { return job.reduces; }
+  static Job::TaskWindow& window(Job& job) { return job.reduce_window; }
+  static double progress(const Job& job) { return job.reduce_progress(); }
   static int& assigned(Job& job) { return job.reduces_assigned; }
   static int& finished(Job& job) { return job.reduces_finished; }
   static void launch(TaskTracker& tracker, TaskId id) { tracker.launch_reduce(id); }
@@ -353,6 +357,22 @@ class Runtime {
   /// Aggregated incremental max-min solver statistics over every per-node
   /// compute model plus the network model (perf instrumentation).
   cluster::MaxMinSolver::Stats solver_stats() const;
+
+  /// Deterministic work counters of the tick's node-solve stage and of the
+  /// progress sampler (perf instrumentation, beside solver_stats()).  Each
+  /// busy node-tick with compute loads is exactly one of the first three.
+  struct TickWork {
+    /// Nothing moved: the cached rates replayed, no loads, no solver call.
+    std::uint64_t quiet_replays = 0;
+    /// Only the shuffle background moved: the cached flows re-solved for
+    /// the new capacities, no loads rebuilt.
+    std::uint64_t capacity_resolves = 0;
+    /// Marked dirty: loads rebuilt and handed to the node's model.
+    std::uint64_t load_rebuilds = 0;
+    /// Task progress() terms the sampler folded into job progress.
+    std::uint64_t progress_terms = 0;
+  };
+  TickWork tick_work() const;
 
   /// Thread pool for the sharded tick (must outlive run()); unset falls
   /// back to default_thread_pool().  A lone shard runs inline and never
@@ -676,9 +696,11 @@ class Runtime {
     std::vector<double> shuffle_disk_demand, shuffle_scale;
     std::vector<cluster::BackgroundLoad> background;
     std::vector<cluster::PhaseLoad> loads;
-    std::vector<std::uint32_t> load_entry;
-    std::vector<std::uint8_t> load_is_map;
     std::vector<ComputeRate> compute;
+    /// This shard's node-solve counters (summed by tick_work()).
+    std::uint64_t quiet_replays = 0;
+    std::uint64_t capacity_resolves = 0;
+    std::uint64_t load_rebuilds = 0;
     // Mailboxes: job-level float deltas and phase transitions produced
     // inside the window, replayed at the barrier in shard order (== node
     // order, hence byte-identical sums for any shard count).
@@ -718,15 +740,19 @@ class Runtime {
   /// node -> owning shard.
   std::vector<std::uint16_t> node_shard_;
   ThreadPool* pool_ = nullptr;
-  /// Per-node quiescence tracking for the tick's compute solve: a node
-  /// not marked dirty (by a launch or finish, a phase change, or a network
-  /// grant to one of its remote-reading maps) whose shuffle background is
-  /// bit-identical since its last solve presents the same raw inputs — the
-  /// cached rates are replayed without rebuilding the loads (counted as a
-  /// memo hit to keep stats identical).
+  /// Per-node change tracking for the tick's compute solve.  Only a node
+  /// marked dirty (by a launch or finish, a phase change, or a network
+  /// grant to one of its remote-reading maps that differs from last tick's)
+  /// rebuilds its loads.  A clean one re-solves its cached flows when its
+  /// shuffle background moved since its last solve, and otherwise replays
+  /// its model's rates (counted as a memo hit to keep stats identical).
+  /// `node_loaded_` says whether the last rebuild found any loads.
   std::vector<std::uint8_t> node_dirty_;
+  std::vector<std::uint8_t> node_loaded_;
   std::vector<cluster::BackgroundLoad> node_bg_prev_;
-  std::vector<std::vector<double>> node_rates_cache_;
+  /// Emit the (task, rate) pairs of busy node `b` in load order: its maps,
+  /// then its reduces past the shuffle.
+  void emit_compute(ShardScratch& s, std::size_t b, const std::vector<double>& rates);
   void mark_node_dirty(NodeId node) {
     if (node >= 0 && static_cast<std::size_t>(node) < node_dirty_.size()) {
       node_dirty_[static_cast<std::size_t>(node)] = 1;
@@ -741,6 +767,8 @@ class Runtime {
   std::vector<double> net_grant_rate_;
   std::vector<std::uint64_t> net_grant_epoch_;
   std::uint64_t net_grant_cur_epoch_ = 0;
+  /// Progress terms folded by on_sample() (TickWork::progress_terms).
+  std::uint64_t progress_terms_ = 0;
   /// Heartbeat-path snapshot scratch (capacity reused across heartbeats).
   ClusterStats hb_stats_;
   TaskId next_task_id_ = 0;

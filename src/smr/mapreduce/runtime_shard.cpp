@@ -30,6 +30,7 @@
 // produces the same bytes.  A lone shard runs inline without the pool.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <iomanip>
@@ -288,50 +289,44 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
   }
 
   // 5. Per-node compute solve over owned busy nodes (the node models, their
-  // caches and the per-node quiescence state are all owned by this shard).
+  // caches and the per-node change state are all owned by this shard).
   // The (task, rate) pairs come out in node order, which keeps the
   // floating-point accumulation below bit-for-bit reproducible.
+  //
+  // A node's solve inputs are its loads (pure functions of its running set,
+  // each task's phase/local/cost_factor and, for remote-read maps only, the
+  // per-tick network grant), its occupancy (a function of the running set)
+  // and its shuffle background.  Every change to the loads or the
+  // occupancy marks the node dirty: a launch or finish at its call site, a
+  // phase transition in the integration and settle stages, and a grant that
+  // differs from last tick's in on_tick.  Only a dirty node rebuilds its
+  // loads.  A clean node with a background bit-equal to its last solve's
+  // replays its model's rates; one whose background moved re-solves its
+  // cached flows for the new capacities (docs/PERF.md §15).  Either way
+  // the solver counters read as if the loads had been rebuilt and solved.
   s.compute.clear();
   for (std::size_t b = 0; b < busy_n; ++b) {
     const auto d = static_cast<std::size_t>(s.busy[b]);
     const auto& node_spec = config_.cluster.workers[d];
     const cluster::BackgroundLoad& bg = s.background[b];
-    // Quiescent-node fast path.  A node's solve inputs (occupancy,
-    // background, per-load coefficients) are pure functions of its running
-    // set, each task's phase/local/cost_factor, the background shuffle
-    // ingest, and — for remote-read maps only — the per-tick network grant.
-    // Every change to all but the background marks the node dirty: a launch
-    // or finish at its call site, a phase transition in the integration and
-    // settle stages, and a grant to a remote-reading map in on_tick; the
-    // background is compared bit for bit.  When neither says "changed", the
-    // previous rates are provably bit-identical and are replayed from the
-    // cache without rebuilding loads; the skipped solver call is recorded
-    // as a memo hit so the reported solver stats stay byte-identical.
-    const bool quiet = !node_dirty_[d] &&
-                       bg.cpu_cores == node_bg_prev_[d].cpu_cores &&
-                       bg.disk_rate == node_bg_prev_[d].disk_rate;
-    if (quiet) {
-      const std::vector<double>& cache = node_rates_cache_[d];
-      if (cache.empty()) continue;  // no loads last tick, none now
-      std::size_t k = 0;
-      const auto [mb, me] = s.maps.range[b];
-      for (std::uint32_t i = mb; i < me; ++i) {
-        s.compute.push_back({i, true, cache[k++]});
+    cluster::ComputeModel& model = node_models_[d];
+    if (!node_dirty_[d]) {
+      if (!node_loaded_[d]) continue;  // no loads last rebuild, none now
+      if (bg.cpu_cores == node_bg_prev_[d].cpu_cores &&
+          bg.disk_rate == node_bg_prev_[d].disk_rate) {
+        model.count_memo_hit();
+        ++s.quiet_replays;
+        emit_compute(s, b, model.rates());
+      } else {
+        node_bg_prev_[d] = bg;
+        ++s.capacity_resolves;
+        emit_compute(s, b, model.solve_capacities(node_spec, s.occ[b], bg));
       }
-      const auto [rb, re] = s.reds.range[b];
-      for (std::uint32_t i = rb; i < re; ++i) {
-        if (s.reds.task[i]->phase == ReducePhase::kShuffling) continue;
-        s.compute.push_back({i, false, cache[k++]});
-      }
-      SMR_CHECK(k == cache.size());
-      node_models_[d].count_memo_hit();
       continue;
     }
     node_dirty_[d] = 0;
     node_bg_prev_[d] = bg;
     s.loads.clear();
-    s.load_entry.clear();
-    s.load_is_map.clear();
     const auto [mb, me] = s.maps.range[b];
     for (std::uint32_t i = mb; i < me; ++i) {
       const MapTask& task = *s.maps.task[i];
@@ -357,8 +352,6 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
         load.disk_per_byte = spec.spill_disk_factor;
       }
       s.loads.push_back(load);
-      s.load_entry.push_back(i);
-      s.load_is_map.push_back(1);
     }
     const auto [rb, re] = s.reds.range[b];
     for (std::uint32_t i = rb; i < re; ++i) {
@@ -374,19 +367,12 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
         load.disk_per_byte = 1.0 + spec.reduce_selectivity * spec.output_disk_factor;
       }
       s.loads.push_back(load);
-      s.load_entry.push_back(i);
-      s.load_is_map.push_back(0);
     }
-    if (s.loads.empty()) {
-      node_rates_cache_[d].clear();
-      continue;
-    }
-    const std::vector<double>& rates =
-        node_models_[d].solve_cached(node_spec, s.occ[b], bg, s.loads);
-    node_rates_cache_[d].assign(rates.begin(), rates.end());
-    for (std::size_t i = 0; i < s.loads.size(); ++i) {
-      s.compute.push_back({s.load_entry[i], s.load_is_map[i] != 0, rates[i]});
-    }
+    node_loaded_[d] = s.loads.empty() ? 0 : 1;
+    if (s.loads.empty()) continue;
+    ++s.load_rebuilds;
+    model.take_loads(node_spec, s.loads);
+    emit_compute(s, b, model.solve_capacities(node_spec, s.occ[b], bg));
   }
 
   // 6. Integrate progress on owned tasks; cross-shard (job-level) float
@@ -495,6 +481,19 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
   stats.entries_peak = std::max(stats.entries_peak, entries);
 }
 
+void Runtime::emit_compute(ShardScratch& s, std::size_t b,
+                           const std::vector<double>& rates) {
+  std::size_t k = 0;
+  const auto [mb, me] = s.maps.range[b];
+  for (std::uint32_t i = mb; i < me; ++i) s.compute.push_back({i, true, rates[k++]});
+  const auto [rb, re] = s.reds.range[b];
+  for (std::uint32_t i = rb; i < re; ++i) {
+    if (s.reds.task[i]->phase == ReducePhase::kShuffling) continue;
+    s.compute.push_back({i, false, rates[k++]});
+  }
+  SMR_CHECK(k == rates.size());
+}
+
 // --- The window driver ------------------------------------------------------
 
 void Runtime::on_tick() {
@@ -587,10 +586,17 @@ void Runtime::on_tick() {
     for (std::size_t f = 0; f < s.flows.size(); ++f) {
       if (s.flow_is_shuffle[f]) continue;
       const auto id = static_cast<std::size_t>(s.maps.id[s.flow_entry[f]]);
-      net_grant_rate_[id] = t.net_rates[s.flow_base + f];
+      const double grant = t.net_rates[s.flow_base + f];
+      // The grant caps the map's compute load, so its node re-solves, unless
+      // the grant is bit-equal to the one the task held last tick: then the
+      // load is too, and the re-solve would have been a cache hit.
+      const bool unchanged =
+          net_grant_epoch_[id] + 1 == net_grant_cur_epoch_ &&
+          std::bit_cast<std::uint64_t>(net_grant_rate_[id]) ==
+              std::bit_cast<std::uint64_t>(grant);
+      net_grant_rate_[id] = grant;
       net_grant_epoch_[id] = net_grant_cur_epoch_;
-      // The grant caps the map's compute load, so its node re-solves.
-      node_dirty_[static_cast<std::size_t>(s.flows[f].dst)] = 1;
+      if (!unchanged) node_dirty_[static_cast<std::size_t>(s.flows[f].dst)] = 1;
     }
   }
 

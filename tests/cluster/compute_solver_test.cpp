@@ -74,7 +74,11 @@ PhaseLoad random_load(Rng& rng) {
 
 class NodeDifferential {
  public:
-  explicit NodeDifferential(Rng& rng) : rng_(&rng), node_(random_node(rng)) {
+  /// With `reuse_flows`, a step whose loads did not move since the last one
+  /// calls solve_capacities() alone on the cached flows, as the runtime
+  /// does for a node whose only change is its occupancy or background.
+  explicit NodeDifferential(Rng& rng, bool reuse_flows = false)
+      : rng_(&rng), node_(random_node(rng)), reuse_flows_(reuse_flows) {
     fresh_occupancy();
     fresh_background();
     fresh_loads();
@@ -82,7 +86,12 @@ class NodeDifferential {
 
   void check_once() {
     const std::vector<double> expected = ComputeModel::solve(node_, occ_, background_, loads_);
-    const std::vector<double>& actual = model_.solve_cached(node_, occ_, background_, loads_);
+    const bool capacities_only = reuse_flows_ && !loads_moved_;
+    loads_moved_ = false;
+    if (capacities_only) ++capacity_only_calls_;
+    const std::vector<double>& actual =
+        capacities_only ? model_.solve_capacities(node_, occ_, background_)
+                        : model_.solve_cached(node_, occ_, background_, loads_);
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(actual[i]),
@@ -112,6 +121,7 @@ class NodeDifferential {
       const double kind = rng_->uniform();
       const double rate = f < last_rates_.size() ? last_rates_[f] : 0.0;
       PhaseLoad& load = loads_[f];
+      loads_moved_ = true;
       const bool needs_cap = load.cpu_per_byte <= 0.0 && load.disk_per_byte <= 0.0;
       if (kind < 0.5) {
         load.rate_cap = rate * rng_->uniform(1.5, 3.0) + 1.0;
@@ -130,6 +140,7 @@ class NodeDifferential {
       fresh_background();
       return;
     }
+    loads_moved_ = true;
     if (which < 0.8 && !loads_.empty()) {
       // A coefficient changes: the flow's resource uses move.
       PhaseLoad& load = loads_[static_cast<std::size_t>(pick(*rng_, loads_.size()))];
@@ -155,6 +166,7 @@ class NodeDifferential {
   }
 
   const MaxMinSolver::Stats& stats() const { return model_.solver_stats(); }
+  int capacity_only_calls() const { return capacity_only_calls_; }
 
  private:
   void fresh_occupancy() {
@@ -188,6 +200,9 @@ class NodeDifferential {
 
   Rng* rng_;
   NodeSpec node_;
+  bool reuse_flows_ = false;
+  bool loads_moved_ = true;
+  int capacity_only_calls_ = 0;
   Occupancy occ_;
   BackgroundLoad background_;
   std::vector<PhaseLoad> loads_;
@@ -221,6 +236,30 @@ TEST(ComputeSolverDifferential, RandomMutationSequencesMatchOracleBitwise) {
   // Every cache path was taken somewhere in the suite.
   EXPECT_GT(total.cache_hits, 100u);
   EXPECT_GT(total.cap_fast_hits, 100u);
+  EXPECT_GT(total.full_solves, 100u);
+}
+
+// The runtime's capacities-only path: steps whose loads did not move skip
+// take_loads(), and the answer and the counters must still be the oracle's
+// and the mirror's.
+TEST(ComputeSolverDifferential, CapacityOnlyResolvesMatchOracleBitwise) {
+  Rng rng(0xb9c0ULL);
+  int capacity_only = 0;
+  MaxMinSolver::Stats total;
+  for (int sequence = 0; sequence < 200; ++sequence) {
+    NodeDifferential diff(rng, /*reuse_flows=*/true);
+    for (int step = 0; step < 60; ++step) {
+      SCOPED_TRACE("sequence " + std::to_string(sequence) + " step " + std::to_string(step));
+      diff.check_once();
+      if (testing::Test::HasFatalFailure()) return;
+      diff.mutate();
+    }
+    capacity_only += diff.capacity_only_calls();
+    total.cache_hits += diff.stats().cache_hits;
+    total.full_solves += diff.stats().full_solves;
+  }
+  EXPECT_GT(capacity_only, 2000);
+  EXPECT_GT(total.cache_hits, 100u);
   EXPECT_GT(total.full_solves, 100u);
 }
 

@@ -321,23 +321,34 @@ TEST(Determinism, SolverCountersAreDeterministic) {
   EXPECT_EQ(first.solver_full_solves, second.solver_full_solves);
 }
 
-TEST(Determinism, SolverCountersPinnedOnRemoteReadRun) {
-  // Remote-reading maps cap their node's compute loads at the per-tick
-  // network grant, so the tick must re-solve such a node even when nothing
-  // else on it changed.  Two staggered terasorts on 64 nodes launch dozens
-  // of remote maps; every solver counter and the makespan are pinned to
-  // the values the tick produced when this test was written.
+// Two staggered terasorts on 64 nodes, which launch dozens of maps that
+// read their split remotely.
+ExperimentConfig remote_read_config() {
   ExperimentConfig config = small_config(EngineKind::kSMapReduce, 1);
   config.runtime.cluster = cluster::ClusterSpec::paper_testbed(64);
   config.runtime.seed = 1;
-  mapreduce::Runtime runtime(config.runtime, make_policy(config),
-                             make_scheduler(config));
+  return config;
+}
+
+void submit_remote_read_jobs(mapreduce::Runtime& runtime) {
   for (SimTime at : {0.0, 30.0}) {
     mapreduce::JobSpec spec =
         workload::make_puma_job(workload::Puma::kTerasort, 8 * kGiB);
     spec.reduce_tasks = 8;
     runtime.submit(spec, at);
   }
+}
+
+TEST(Determinism, SolverCountersPinnedOnRemoteReadRun) {
+  // Remote-reading maps cap their node's compute loads at the per-tick
+  // network grant, so the tick must re-solve such a node when the grant
+  // moves even though nothing else on it changed.  Every solver counter
+  // and the makespan are pinned to the values the tick produced when this
+  // test was written.
+  const ExperimentConfig config = remote_read_config();
+  mapreduce::Runtime runtime(config.runtime, make_policy(config),
+                             make_scheduler(config));
+  submit_remote_read_jobs(runtime);
   const metrics::RunResult result = runtime.run();
   ASSERT_TRUE(result.completed);
   EXPECT_EQ(runtime.remote_map_launches(), 54);
@@ -347,6 +358,33 @@ TEST(Determinism, SolverCountersPinnedOnRemoteReadRun) {
   EXPECT_EQ(stats.cap_fast_hits, 0u);
   EXPECT_EQ(stats.full_solves, 426u);
   EXPECT_EQ(result.makespan, 364.75);
+}
+
+TEST(Determinism, TickWorkPinnedOnRemoteReadRun) {
+  // The same run's node-solve and sampling work: a node rebuilds its loads
+  // only when a launch, finish, phase change or moved grant marked it, and
+  // a sample folds only the tasks inside each job's progress window.
+  const ExperimentConfig config = remote_read_config();
+  mapreduce::Runtime runtime(config.runtime, make_policy(config),
+                             make_scheduler(config));
+  submit_remote_read_jobs(runtime);
+  ASSERT_TRUE(runtime.run().completed);
+  const mapreduce::Runtime::TickWork work = runtime.tick_work();
+  EXPECT_EQ(work.quiet_replays, 14805u);
+  EXPECT_EQ(work.capacity_resolves, 0u);
+  EXPECT_EQ(work.load_rebuilds, 336u);
+  EXPECT_EQ(work.progress_terms, 5499u);
+}
+
+TEST(Determinism, CapacityOnlyResolvesOnShuffleBackground) {
+  // On 4 nodes the shuffle ingest shares nodes with running maps, so some
+  // node-ticks change only their background and re-solve cached flows.
+  const ExperimentConfig config = small_config(EngineKind::kSMapReduce, 1);
+  mapreduce::Runtime runtime(config.runtime, make_policy(config),
+                             make_scheduler(config));
+  for (const JobSubmission& job : small_jobs()) runtime.submit(job.spec, job.submit_at);
+  ASSERT_TRUE(runtime.run().completed);
+  EXPECT_GT(runtime.tick_work().capacity_resolves, 0u);
 }
 
 }  // namespace
