@@ -121,9 +121,87 @@ const std::vector<double>& NetworkModel::allocate_cached(
   ++stats_.full_solves;
   capacities_.swap(next_capacities_);
   valid_ = false;  // a throwing solve must not leave a half-written cache
-  waterfill();
+  if (caps_fit()) {
+    // Every flow freezes at its cap, as the water-fill would write it.
+    ++work_.certified;
+    const std::size_t nf = flows_.size();
+    rates_.resize(nf);
+    for (std::size_t i = 0; i < nf; ++i) {
+      rates_[i] = flows_[i].rate_cap > 0.0 ? flows_[i].rate_cap : 0.0;
+    }
+    frozen_by_cap_.assign(nf, true);
+    degenerate_ = false;
+  } else {
+    waterfill();
+  }
   valid_ = true;
   return rates_;
+}
+
+// The uncongestion certificate (docs/PERF.md §16).  When every flow has a
+// finite cap and each resource's positive caps, weighted as its flows use
+// it, stay below its capacity by more than the water-fill's saturation
+// threshold and rounding, no round saturates a resource: each round's
+// delta is the lowest live cap's, and every live flow freezes at its own
+// cap.  A flow with a cap <= 0 freezes at +0.0 by its cap either way.
+// O(flows): rx ports and point tx ports are summed in load_, and the tx
+// ports without a point flow carry only the diffuse share, checked against
+// the least tx capacity.
+bool NetworkModel::caps_fit() {
+  const int n = spec_->worker_count();
+  const auto un = static_cast<std::size_t>(n);
+  if (load_.empty()) {
+    load_.assign(2 * un, 0.0);
+    // Every capacity is >= 0 and not NaN for any stream counts when these
+    // hold, so the water-fill's capacity check cannot fail.
+    const NetworkSpec& network = spec_->network;
+    bool sound = network.fabric_bandwidth >= 0.0 && network.incast_overhead >= 0.0 &&
+                 std::isfinite(network.incast_overhead);
+    tx_floor_ = kInf;
+    for (const NodeSpec& node : spec_->workers) {
+      sound = sound && node.nic_bandwidth >= 0.0 && std::isfinite(node.nic_bandwidth);
+      tx_floor_ = std::min(tx_floor_, node.nic_bandwidth);
+    }
+    if (!sound) tx_floor_ = std::numeric_limits<double>::quiet_NaN();
+  }
+  if (std::isnan(tx_floor_)) return false;
+
+  const double margin = 1e-9 + 16.0 * kUnitRoundoff * static_cast<double>(flows_.size() + 8);
+  const auto fits = [margin](double load, double capacity) {
+    return load * (1.0 + 4.0 * margin) + 4.0 * saturated_below(capacity) + margin * capacity <
+           capacity;
+  };
+  const auto add = [this](std::size_t resource, double cap) {
+    if (load_[resource] == 0.0) loaded_.push_back(static_cast<std::uint32_t>(resource));
+    load_[resource] += cap;
+  };
+  bool fit = true;
+  double fabric = 0.0;
+  double diffuse = 0.0;
+  loaded_.clear();
+  for (const NetFlow& flow : flows_) {
+    const double cap = flow.rate_cap;
+    if (cap == kNoCap || std::isnan(cap)) {
+      fit = false;
+      break;
+    }
+    if (cap <= 0.0) continue;
+    add(static_cast<std::size_t>(flow.dst), cap);
+    fabric += cap;
+    if (flow.src == kInvalidNode) {
+      diffuse += cap;
+    } else {
+      add(un + static_cast<std::size_t>(flow.src), cap);
+    }
+  }
+  const double diffuse_share = diffuse / static_cast<double>(n);
+  fit = fit && (fabric == 0.0 || fits(fabric, capacities_[2 * un])) &&
+        (diffuse == 0.0 || fits(diffuse_share, tx_floor_));
+  for (const std::uint32_t r : loaded_) {
+    fit = fit && fits(r < un ? load_[r] : load_[r] + diffuse_share, capacities_[r]);
+    load_[r] = 0.0;
+  }
+  return fit;
 }
 
 // MaxMinSolver's cache rule on the generic problem, read off the topology:

@@ -60,6 +60,9 @@ class NetworkModel {
     std::uint64_t replayed_segments = 0;
     /// Additions and add_run() steps of the point-port folds.
     std::uint64_t fold_steps = 0;
+    /// Full solves the uncongestion certificate answered without a
+    /// water-fill (see caps_fit()).
+    std::uint64_t certified = 0;
   };
 
   explicit NetworkModel(const ClusterSpec& spec) : spec_(&spec) {}
@@ -82,7 +85,9 @@ class NetworkModel {
   /// cap_move_is_slack() and skip the water-fill too.  A raw-input memo
   /// short-circuits even earlier: bit-equal (flows, fetch_streams) skip the
   /// capacity build and the comparison — the common steady-shuffle tick,
-  /// where every cap is pinned at the fetch cap.
+  /// where every cap is pinned at the fetch cap.  A full solve whose caps
+  /// fit every resource with room to spare is its caps, and skips the
+  /// water-fill (the uncongestion certificate, docs/PERF.md §16).
   /// NOT thread-safe; the returned reference is invalidated by the next
   /// call.
   const std::vector<double>& allocate_cached(std::span<const NetFlow> flows,
@@ -163,6 +168,7 @@ class NetworkModel {
                        std::vector<double>& capacities) const;
   void check_flows(std::span<const NetFlow> flows) const;
   bool cache_usable(std::span<const NetFlow> flows, bool& caps_only) const;
+  bool caps_fit();
   void waterfill();
   double fold(const PointPort& point, double diffuse_weight);
   std::uint32_t add_port(double capacity, double sumw, bool tx);
@@ -187,6 +193,14 @@ class NetworkModel {
   std::vector<double> rates_;
   std::vector<bool> frozen_by_cap_;
   bool degenerate_ = false;
+
+  // Certificate scratch, sized at the first full solve: the positive caps
+  // summed per rx port [0, n) and per point tx port [n, 2n), the entries
+  // written this solve, and the spec's least tx capacity (NaN when some
+  // capacity of the spec could be negative or NaN).
+  std::vector<double> load_;
+  std::vector<std::uint32_t> loaded_;
+  double tx_floor_ = 0.0;
 
   // Water-fill scratch, reused across solves.
   std::vector<double> next_capacities_;

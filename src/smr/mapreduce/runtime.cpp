@@ -101,6 +101,7 @@ Runtime::TickWork Runtime::tick_work() const {
     work.load_rebuilds += s.load_rebuilds;
   }
   work.progress_terms = progress_terms_;
+  work.settle_checks = settle_checks_;
   return work;
 }
 
@@ -464,6 +465,10 @@ void Runtime::task_completed(Job& job, const MapTask& task) {
   }
 
   if (job.maps_all_finished()) {
+    // Its shuffling reduces become settle candidates: this tick's settle
+    // stage rebuilds its lists, and every later census lists them.
+    barrier_crossed_ = true;
+    mark_all_shards_dirty();
     job.maps_done_time = engine_.now();
     // Kill accumulated floating-point drift: every partition is now fully
     // available by definition.

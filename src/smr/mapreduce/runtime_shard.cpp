@@ -163,16 +163,20 @@ void Runtime::shard_census(ShardScratch& s, bool detect_doom) {
       o.threads += shuffling ? 2 : 1;
       o.io_streams += 1;
       o.memory_demand += s.reds.spec[i]->reduce_task_memory;
-      // Shuffle-settle candidates: conditions are re-checked at settle time;
-      // phases can only *enter* kShuffling via requeues, which never happen
-      // inside a tick.
+      // Shuffle-settle candidates: only a job past its barrier can settle
+      // a reduce, and a job that crosses it after this census rebuilds the
+      // lists at the settle stage (barrier_crossed_).  Conditions are
+      // re-checked at settle time; phases can only *enter* kShuffling via
+      // requeues, which never happen inside a tick.
       if (shuffling) {
         const TaskId id = s.reds.id[i];
         s.shuffle_entries.push_back(i);
-        (task_refs_[static_cast<std::size_t>(id)].speculative
-             ? s.settle_shadows
-             : s.settle_primaries)
-            .push_back(id);
+        if (s.reds.job[i]->maps_all_finished()) {
+          (task_refs_[static_cast<std::size_t>(id)].speculative
+               ? s.settle_shadows
+               : s.settle_primaries)
+              .push_back(id);
+        }
       }
       if (detect_doom && task->progress() >= task->fail_at_progress) {
         s.doomed_reduces.push_back(s.reds.id[i]);
@@ -635,9 +639,30 @@ void Runtime::on_tick() {
   // Settles: merge the shard candidate lists, sort, apply (must run after
   // map completions so the barrier state is current).  Ascending-id order
   // reproduces the historic jobs-then-partitions scan, primaries before
-  // shadows.
-  gather_sorted(&ShardScratch::settle_primaries, t.settle_primaries);
-  gather_sorted(&ShardScratch::settle_shadows, t.settle_shadows);
+  // shadows.  settle_reduce() does nothing for a job short of its barrier,
+  // so the census lists only reduces past it; when a job crossed since the
+  // census, the lists are rebuilt from every shuffling reduce.  No settle
+  // moves a barrier, so one pass decides every candidate.
+  if (barrier_crossed_) {
+    barrier_crossed_ = false;
+    t.settle_primaries.clear();
+    t.settle_shadows.clear();
+    for (const ShardScratch& s : shards_) {
+      for (const std::uint32_t i : s.shuffle_entries) {
+        const TaskId id = s.reds.id[i];
+        const TaskRef* ref = find_task_ref(id);
+        if (ref == nullptr) continue;  // a shadow retired above
+        if (!jobs_[static_cast<std::size_t>(ref->job)].maps_all_finished()) continue;
+        (ref->speculative ? t.settle_shadows : t.settle_primaries).push_back(id);
+      }
+    }
+    std::sort(t.settle_primaries.begin(), t.settle_primaries.end());
+    std::sort(t.settle_shadows.begin(), t.settle_shadows.end());
+  } else {
+    gather_sorted(&ShardScratch::settle_primaries, t.settle_primaries);
+    gather_sorted(&ShardScratch::settle_shadows, t.settle_shadows);
+  }
+  settle_checks_ += t.settle_primaries.size() + t.settle_shadows.size();
   for (TaskId id : t.settle_primaries) {
     const TaskRef& ref = task_refs_[static_cast<std::size_t>(id)];
     Job& job = jobs_[static_cast<std::size_t>(ref.job)];

@@ -70,6 +70,33 @@ double random_cap(Rng& rng) {
   return rng.uniform(1.0, 30.0) * kMiBf;            // binding
 }
 
+// One allocate_cached() call against the oracle: its rates bitwise (value
+// and sign bit), and its counters against a MaxMinSolver fed the same
+// build_problem() output.
+void check_against_oracle(NetworkModel& model, MaxMinSolver& mirror,
+                          const std::vector<NetFlow>& flows, const std::vector<int>& streams,
+                          std::vector<double>& rates) {
+  rates = model.allocate(flows, streams);
+  const std::vector<double>& actual = model.allocate_cached(flows, streams);
+  ASSERT_EQ(actual.size(), rates.size());
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    ASSERT_EQ(actual[i], rates[i]) << "flow " << i;
+    ASSERT_EQ(std::signbit(actual[i]), std::signbit(rates[i])) << "flow " << i;
+  }
+  if (!flows.empty()) {
+    std::vector<double> capacities;
+    std::vector<FlowDemand> demands;
+    model.build_problem(flows, streams, capacities, demands);
+    mirror.solve(capacities, demands);
+  }
+  const MaxMinSolver::Stats& got = model.solver_stats();
+  const MaxMinSolver::Stats& want = mirror.stats();
+  ASSERT_EQ(got.calls, want.calls);
+  ASSERT_EQ(got.cache_hits, want.cache_hits);
+  ASSERT_EQ(got.cap_fast_hits, want.cap_fast_hits);
+  ASSERT_EQ(got.full_solves, want.full_solves);
+}
+
 class NetDifferential {
  public:
   NetDifferential(int n, Mix mix, Nics nics, Rng& rng)
@@ -82,26 +109,7 @@ class NetDifferential {
     fresh_streams();
   }
 
-  void check_once() {
-    const std::vector<double> expected = model_.allocate(flows_, streams_);
-    const std::vector<double>& actual = model_.allocate_cached(flows_, streams_);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(actual[i], expected[i]) << "flow " << i;
-      ASSERT_EQ(std::signbit(actual[i]), std::signbit(expected[i])) << "flow " << i;
-    }
-    last_rates_ = expected;
-    if (!flows_.empty()) {
-      model_.build_problem(flows_, streams_, capacities_, demands_);
-      mirror_.solve(capacities_, demands_);
-    }
-    const MaxMinSolver::Stats& got = model_.solver_stats();
-    const MaxMinSolver::Stats& want = mirror_.stats();
-    ASSERT_EQ(got.calls, want.calls);
-    ASSERT_EQ(got.cache_hits, want.cache_hits);
-    ASSERT_EQ(got.cap_fast_hits, want.cap_fast_hits);
-    ASSERT_EQ(got.full_solves, want.full_solves);
-  }
+  void check_once() { check_against_oracle(model_, mirror_, flows_, streams_, last_rates_); }
 
   void mutate() {
     const double which = rng_->uniform();
@@ -153,6 +161,7 @@ class NetDifferential {
   }
 
   const MaxMinSolver::Stats& stats() const { return model_.solver_stats(); }
+  const NetworkModel::WaterfillStats& work() const { return model_.waterfill_stats(); }
 
  private:
   NodeId random_src() {
@@ -195,13 +204,12 @@ class NetDifferential {
   std::vector<NetFlow> flows_;
   std::vector<int> streams_;
   std::vector<double> last_rates_;
-  std::vector<double> capacities_;
-  std::vector<FlowDemand> demands_;
 };
 
 TEST(NetworkSolverDifferential, RandomMutationSequencesMatchOracleBitwise) {
   Rng rng(0x0e7ULL);
   MaxMinSolver::Stats total;
+  NetworkModel::WaterfillStats work;
   int checks = 0;
   for (const int n : {1, 2, 7, 64, 300}) {
     // The oracle walks every diffuse flow's n tx uses each round, so the
@@ -228,6 +236,8 @@ TEST(NetworkSolverDifferential, RandomMutationSequencesMatchOracleBitwise) {
           total.cache_hits += stats.cache_hits;
           total.cap_fast_hits += stats.cap_fast_hits;
           total.full_solves += stats.full_solves;
+          work.rounds += diff.work().rounds;
+          work.certified += diff.work().certified;
         }
       }
     }
@@ -237,6 +247,9 @@ TEST(NetworkSolverDifferential, RandomMutationSequencesMatchOracleBitwise) {
   EXPECT_GT(total.cache_hits, 0u);
   EXPECT_GT(total.cap_fast_hits, 0u);
   EXPECT_GT(total.full_solves, 0u);
+  // Full solves took both the certificate and the water-fill.
+  EXPECT_GT(work.certified, 0u);
+  EXPECT_GT(work.rounds, 0u);
 }
 
 // A steady shuffle tick: every diffuse flow is held by its receive port,
@@ -260,6 +273,7 @@ TEST(NetworkSolverDifferential, SlackCapMoveHitsFastPath) {
   flows[0].rate_cap = 1.0;
   EXPECT_EQ(net.allocate_cached(flows, {}), net.allocate(flows, {}));
   EXPECT_EQ(net.solver_stats().full_solves, 2u);
+  EXPECT_EQ(net.waterfill_stats().certified, 0u);  // the receive ports bind
 }
 
 // Stream counts that leave every receive capacity bit-equal miss the raw
@@ -298,16 +312,27 @@ TEST(NetworkSolverDifferential, OneNodeDiffuseEqualsPointFromNodeZero) {
 // remaining bytes or the reader's CPU), some from a few hot senders; as in
 // `bigcluster`, no resource saturates.  Flows are in the runtime's order:
 // by receiver, shuffles first.
-// With `tight`, a third of the reads come from the hot senders, whose NICs
-// are cut along with the fabric, so that ports saturate after several of
-// their flows have frozen at their caps.
+// kLoose is that tick, which the uncongestion certificate answers without
+// a water-fill.  In kTight, a third of the reads come from the hot
+// senders, whose NICs are cut along with the fabric, so that ports
+// saturate after several of their flows have frozen at their caps.
+// kFabricBound is the loose tick on a fabric of 95 % of its caps' sum: the
+// water-fill freezes most flows at their caps, with their ports' weight
+// falls deferred, before the fabric saturates.
+enum class Load { kLoose, kTight, kFabricBound };
+
+const char* load_name(Load load) {
+  return load == Load::kLoose ? "loose" : load == Load::kTight ? "tight" : "fabric-bound";
+}
+
 struct BigclusterTick {
   ClusterSpec spec;
   std::vector<NetFlow> flows;
   std::vector<int> streams;
 };
 
-BigclusterTick bigcluster_tick(Rng& rng, bool tight) {
+BigclusterTick bigcluster_tick(Rng& rng, Load load) {
+  const bool tight = load == Load::kTight;
   constexpr int kNodes = 2000;
   constexpr double kFetchCap = 12.0 * kMiBf;
   constexpr int kParallelCopies = 5;
@@ -347,21 +372,27 @@ BigclusterTick bigcluster_tick(Rng& rng, bool tight) {
     tick.flows.push_back(entry.flow);
     if (!entry.point) tick.streams[static_cast<std::size_t>(entry.flow.dst)] += kParallelCopies;
   }
+  if (load == Load::kFabricBound) {
+    double caps = 0.0;
+    for (const NetFlow& flow : tick.flows) caps += flow.rate_cap;
+    tick.spec.network.fabric_bandwidth = 0.95 * caps;
+  }
   return tick;
 }
 
 // The differential suite above stops at 300 nodes.  At `bigcluster` scale
 // the point ports fold hundreds of diffuse terms and the queued ports take
 // many deferred weight falls; in the tight variant ports come due after
-// them and saturate, so the deferred segments are replayed and read.
+// them and saturate, so the deferred segments are replayed and read.  The
+// loose tick is certified: every flow at its cap, no round run.
 TEST(NetworkSolverDifferential, BigclusterShapedSolvesMatchOracleBitwise) {
   Rng rng(0xb16c1ULL);
-  for (const bool tight : {false, true}) {
+  for (const Load load : {Load::kLoose, Load::kTight, Load::kFabricBound}) {
     NetworkModel::WaterfillStats work;
     std::size_t below_cap = 0;
     for (int solve = 0; solve < 4; ++solve) {
-      SCOPED_TRACE(std::string(tight ? "tight" : "loose") + " solve " + std::to_string(solve));
-      const BigclusterTick tick = bigcluster_tick(rng, tight);
+      SCOPED_TRACE(std::string(load_name(load)) + " solve " + std::to_string(solve));
+      const BigclusterTick tick = bigcluster_tick(rng, load);
       NetworkModel net(tick.spec);
       const std::vector<double> expected = net.allocate(tick.flows, tick.streams);
       const std::vector<double>& actual = net.allocate_cached(tick.flows, tick.streams);
@@ -378,34 +409,163 @@ TEST(NetworkSolverDifferential, BigclusterShapedSolvesMatchOracleBitwise) {
       work.deferred_reweighs += got.deferred_reweighs;
       work.replayed_segments += got.replayed_segments;
       work.fold_steps += got.fold_steps;
+      work.certified += got.certified;
     }
+    if (load == Load::kLoose) {
+      EXPECT_EQ(below_cap, 0u);  // every flow froze at its cap
+      EXPECT_EQ(work.certified, 4u);
+      EXPECT_EQ(work.rounds, 0u);
+      continue;
+    }
+    // A resource saturated (flows froze below their caps) after queued
+    // ports took deferred weight falls.
+    EXPECT_EQ(work.certified, 0u);
+    EXPECT_GT(below_cap, 0u);
     EXPECT_GT(work.deferred_reweighs, 0u);
-    if (tight) {
-      // Ports saturated (flows froze below their caps), and ports with
-      // deferred segments came due and were replayed under them.
-      EXPECT_GT(below_cap, 0u);
+    if (load == Load::kTight) {
+      // Ports with deferred segments came due and were replayed under them.
       EXPECT_GT(work.replayed_segments, 0u);
       EXPECT_GT(work.replayed_steps, 0u);
-    } else {
-      EXPECT_EQ(below_cap, 0u);  // every flow froze at its cap
     }
   }
 }
 
+// Scales every positive finite cap by one factor, so that the most loaded
+// resource carries caps, weighted as the flows use it, summing to
+// (1 + offset) times its capacity.  Leaves the caps alone when no resource
+// carries a positive cap or a loaded one has no capacity.
+void scale_to_boundary(const NetworkModel& model, std::vector<NetFlow>& flows,
+                       const std::vector<int>& streams, double offset) {
+  std::vector<double> capacities;
+  std::vector<FlowDemand> demands;
+  model.build_problem(flows, streams, capacities, demands);
+  std::vector<double> load(capacities.size(), 0.0);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    const double cap = flows[f].rate_cap;
+    if (!(cap > 0.0) || !std::isfinite(cap)) continue;
+    for (const ResourceUse& use : demands[f].uses) {
+      load[static_cast<std::size_t>(use.resource)] += use.weight * cap;
+    }
+  }
+  double ratio = 0.0;
+  for (std::size_t r = 0; r < load.size(); ++r) {
+    if (load[r] > 0.0) ratio = std::max(ratio, load[r] / capacities[r]);
+  }
+  if (ratio == 0.0 || !std::isfinite(ratio)) return;
+  const double scale = (1.0 + offset) / ratio;
+  for (NetFlow& flow : flows) {
+    if (flow.rate_cap > 0.0 && std::isfinite(flow.rate_cap)) flow.rate_cap *= scale;
+  }
+}
+
+// The uncongestion certificate at its edge: random 16- and 2 000-node
+// problems whose most loaded resource carries caps within 1e-6 (relative)
+// of its capacity, on either side.  Below it by more than the margin the
+// certificate holds; closer, it declines and the water-fill freezes every
+// flow at its cap; above, a resource saturates.  Point, diffuse, zero,
+// absent and NaN caps, incast streams and oversubscribed fabrics are
+// mixed in.  Each solve must equal the oracle bit for bit, and so must the
+// call after one cap moves, which reads frozen_by_cap_ through the
+// cap-slack rule.
+TEST(NetworkSolverDifferential, CertificateBoundaryMatchesOracleBitwise) {
+  Rng rng(0xce27ULL);
+  std::uint64_t certified = 0;
+  std::uint64_t waterfilled = 0;
+  for (const int n : {16, 2000}) {
+    const int problems = n == 16 ? 600 : 24;
+    for (int p = 0; p < problems; ++p) {
+      SCOPED_TRACE("n " + std::to_string(n) + " problem " + std::to_string(p));
+      BigclusterTick tick;
+      if (n == 16) {
+        const Nics nics[] = {Nics::kHomogeneous, Nics::kFewSpeeds, Nics::kAllDistinct};
+        tick.spec = random_spec(n, nics[pick(rng, 3)], rng);
+        const auto count = rng.uniform_int(1, 48);
+        for (std::int64_t i = 0; i < count; ++i) {
+          const bool diffuse = rng.uniform() < 0.4;
+          tick.flows.push_back({static_cast<NodeId>(pick(rng, n)),
+                                diffuse ? kInvalidNode : static_cast<NodeId>(pick(rng, n)),
+                                rng.uniform(1.0, 30.0) * kMiBf});
+        }
+        if (rng.uniform() < 0.5) {
+          // A receiver whose two highest caps nearly tie: at the boundary
+          // the port has almost nothing left when the lower one freezes,
+          // so without the margin it would read saturated while the higher
+          // one still sits a little below its cap.
+          const auto dst = static_cast<NodeId>(pick(rng, n));
+          const double top = rng.uniform(20.0, 40.0) * kMiBf;
+          const auto below = rng.uniform_int(8, 20);
+          for (std::int64_t i = 0; i < below; ++i) {
+            tick.flows.push_back(
+                {dst, static_cast<NodeId>(pick(rng, n)), top * rng.uniform(0.5, 0.95)});
+          }
+          tick.flows.push_back({dst, static_cast<NodeId>(pick(rng, n)), top});
+          tick.flows.push_back(
+              {dst, static_cast<NodeId>(pick(rng, n)), top * (1.0 + rng.uniform(1.5e-9, 1.5e-8))});
+        }
+        const int knee = tick.spec.network.incast_knee_streams;
+        for (int d = 0; d < n; ++d) {
+          tick.streams.push_back(rng.uniform() < 0.3 ? knee + static_cast<int>(pick(rng, 20)) : 0);
+        }
+      } else {
+        tick = bigcluster_tick(rng, rng.uniform() < 0.5 ? Load::kLoose : Load::kTight);
+      }
+      // Caps the certificate reads past (zero) or declines on (absent, NaN).
+      for (NetFlow& flow : tick.flows) {
+        const double which = rng.uniform();
+        if (which < 0.08) flow.rate_cap = 0.0;
+        if (which >= 0.08 && which < 0.09) flow.rate_cap = -0.0;
+      }
+      if (rng.uniform() < 0.1) {
+        NetFlow& flow = tick.flows[static_cast<std::size_t>(pick(rng, tick.flows.size()))];
+        flow.rate_cap = rng.uniform() < 0.5 ? kNoCap : std::numeric_limits<double>::quiet_NaN();
+      }
+      NetworkModel model(tick.spec);
+      const double offset =
+          (rng.uniform() < 0.5 ? -1.0 : 1.0) * std::exp(rng.uniform(std::log(1e-12), std::log(1e-6)));
+      scale_to_boundary(model, tick.flows, tick.streams, offset);
+
+      MaxMinSolver mirror;
+      std::vector<double> rates;
+      check_against_oracle(model, mirror, tick.flows, tick.streams, rates);
+      if (testing::Test::HasFatalFailure()) return;
+      const NetworkModel::WaterfillStats& work = model.waterfill_stats();
+      certified += work.certified;
+      waterfilled += model.solver_stats().full_solves - work.certified;
+
+      // One cap moves: above its rate (the cap-slack rule reads whether its
+      // cap froze it), below it, or away.
+      const auto f = static_cast<std::size_t>(pick(rng, tick.flows.size()));
+      const double kind = rng.uniform();
+      tick.flows[f].rate_cap = kind < 0.6   ? rates[f] * rng.uniform(1.5, 3.0) + 1.0
+                               : kind < 0.8 ? rates[f] * rng.uniform(0.2, 0.9)
+                                            : kNoCap;
+      check_against_oracle(model, mirror, tick.flows, tick.streams, rates);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
+  // Both sides of the certificate were taken many times.
+  EXPECT_GT(certified, 80u);
+  EXPECT_GT(waterfilled, 300u);
+}
+
 // The water-fill's work counters on one seeded `bigcluster`-shaped solve.
 // They are deterministic, so a change that brings back replaying retired
-// ports or the O(diffuse) fold shows here on any host.
+// ports or the O(diffuse) fold, or stops certifying the loose tick, shows
+// here on any host.
 TEST(NetworkModel, WaterfillCountersPinnedOnBigclusterShapedSolve) {
   struct Pin {
-    bool tight;
+    Load load;
     NetworkModel::WaterfillStats work;
   };
-  // {rounds, replayed steps, deferred weight falls, replayed segments, fold steps}
-  const Pin pins[] = {{false, {218, 0, 1380, 0, 2497}}, {true, {43, 120, 528, 20, 1715}}};
+  // {rounds, replayed steps, deferred weight falls, replayed segments, fold
+  // steps, certified}
+  const Pin pins[] = {{Load::kLoose, {0, 0, 0, 0, 0, 1}},
+                      {Load::kTight, {43, 120, 528, 20, 1715, 0}},
+                      {Load::kFabricBound, {162, 0, 1378, 0, 2495, 0}}};
   for (const Pin& pin : pins) {
-    SCOPED_TRACE(pin.tight ? "tight" : "loose");
+    SCOPED_TRACE(load_name(pin.load));
     Rng rng(0x5eed2000ULL);
-    const BigclusterTick tick = bigcluster_tick(rng, pin.tight);
+    const BigclusterTick tick = bigcluster_tick(rng, pin.load);
     NetworkModel net(tick.spec);
     net.allocate_cached(tick.flows, tick.streams);
     const NetworkModel::WaterfillStats& work = net.waterfill_stats();
@@ -414,6 +574,7 @@ TEST(NetworkModel, WaterfillCountersPinnedOnBigclusterShapedSolve) {
     EXPECT_EQ(work.deferred_reweighs, pin.work.deferred_reweighs);
     EXPECT_EQ(work.replayed_segments, pin.work.replayed_segments);
     EXPECT_EQ(work.fold_steps, pin.work.fold_steps);
+    EXPECT_EQ(work.certified, pin.work.certified);
   }
 }
 
